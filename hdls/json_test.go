@@ -2,6 +2,7 @@ package hdls_test
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -102,6 +103,7 @@ func TestValidateMatchesRun(t *testing.T) {
 		{Workload: "nosuchkind:n=8"},
 		{Inter: dls.AWFB},                          // weighted/adaptive unsupported at the inter level
 		{Intra: dls.TSS, Approach: hdls.MPIOpenMP}, // stock runtime limitation
+		{Nodes: 2, Topology: hdls.Topology{NodeSpeeds: []float64{1, math.NaN()}}}, // non-finite speed
 	}
 	for i, cfg := range bad {
 		verr := cfg.Validate()

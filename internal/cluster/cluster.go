@@ -7,6 +7,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -16,17 +17,14 @@ import (
 type NetParams struct {
 	// Latency is the one-way MPI-level latency of a small message.
 	Latency sim.Time
-	// Bandwidth is the link bandwidth in bytes per second.
+	// Bandwidth is the link bandwidth in bytes per second (the bandwidth
+	// term of multi-node collectives).
 	Bandwidth float64
-	// SendOverhead is CPU time the sender spends per message (injection).
-	SendOverhead sim.Time
-	// RecvOverhead is CPU time the receiver spends per matched message.
-	RecvOverhead sim.Time
-	// PortService is the per-message service time at a node's NIC; messages
-	// targeting the same node serialize on it, which makes incast contention
-	// emerge under load. A passive-target RMA atomic on a remote window costs
-	// 2×Latency + port service of (SharedWinOp + PortService), ≈3 µs on the
-	// miniHPC preset.
+	// PortService is the extra service time a remote RMA operation costs at
+	// the target node's port, and the per-hop cost of a multi-node
+	// collective on top of Latency. A passive-target RMA atomic on a remote
+	// window costs 2×Latency + port service of (SharedWinOp + PortService),
+	// ≈3 µs on the miniHPC preset.
 	PortService sim.Time
 }
 
@@ -46,8 +44,8 @@ type MemParams struct {
 	PollInterval sim.Time
 	// WinSync is the cost of MPI_Win_sync (memory barrier) on a shared window.
 	WinSync sim.Time
-	// CopyBandwidth is intra-node memcpy bandwidth in bytes per second,
-	// used for node-local two-sided messages.
+	// CopyBandwidth is intra-node memcpy bandwidth in bytes per second (the
+	// bandwidth term of node-local collectives).
 	CopyBandwidth float64
 }
 
@@ -87,7 +85,9 @@ type Config struct {
 	Mem     MemParams
 }
 
-// Validate checks structural invariants.
+// Validate checks structural invariants. Node speeds and NoiseCV must be
+// finite: NaN slips through ordinary range checks and poisons every virtual
+// time computed from it.
 func (c *Config) Validate() error {
 	if c.Nodes <= 0 {
 		return errors.New("cluster: Nodes must be positive")
@@ -99,8 +99,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster: NodeSpeed has %d entries for %d nodes", len(c.NodeSpeed), c.Nodes)
 	}
 	for i, s := range c.NodeSpeed {
-		if s <= 0 {
-			return fmt.Errorf("cluster: NodeSpeed[%d] = %v, must be positive", i, s)
+		if !(s > 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("cluster: NodeSpeed[%d] = %v, must be positive and finite", i, s)
 		}
 	}
 	if len(c.NodeCores) > c.Nodes {
@@ -111,8 +111,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("cluster: NodeCores[%d] = %d, must be positive", i, n)
 		}
 	}
-	if c.NoiseCV < 0 {
-		return errors.New("cluster: NoiseCV must be non-negative")
+	if !(c.NoiseCV >= 0) || math.IsInf(c.NoiseCV, 1) {
+		return fmt.Errorf("cluster: NoiseCV = %v, must be non-negative and finite", c.NoiseCV)
 	}
 	if c.Net.Bandwidth <= 0 || c.Mem.CopyBandwidth <= 0 {
 		return errors.New("cluster: bandwidths must be positive")
@@ -236,11 +236,9 @@ func MiniHPC(nodes int) Config {
 		Nodes:        nodes,
 		CoresPerNode: 16,
 		Net: NetParams{
-			Latency:      1.2 * sim.Microsecond,
-			Bandwidth:    12.5e9, // 100 Gbit/s
-			SendOverhead: 0.3 * sim.Microsecond,
-			RecvOverhead: 0.3 * sim.Microsecond,
-			PortService:  0.25 * sim.Microsecond,
+			Latency:     1.2 * sim.Microsecond,
+			Bandwidth:   12.5e9, // 100 Gbit/s
+			PortService: 0.25 * sim.Microsecond,
 		},
 		Mem: MemParams{
 			LocalAtomic:   0.06 * sim.Microsecond,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"negative noise", func(c *Config) { c.NoiseCV = -0.1 }, "NoiseCV"},
 		{"zero bandwidth", func(c *Config) { c.Net.Bandwidth = 0 }, "bandwidth"},
 		{"zero poll", func(c *Config) { c.Mem.PollInterval = 0 }, "poll"},
+		{"nan speed", func(c *Config) { c.NodeSpeed = []float64{1, math.NaN(), 1, 1} }, "NodeSpeed[1]"},
+		{"inf speed", func(c *Config) { c.NodeSpeed = []float64{1, 1, 1, math.Inf(1)} }, "NodeSpeed[3]"},
+		{"nan noise", func(c *Config) { c.NoiseCV = math.NaN() }, "NoiseCV"},
+		{"inf noise", func(c *Config) { c.NoiseCV = math.Inf(1) }, "NoiseCV"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

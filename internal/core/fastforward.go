@@ -1,43 +1,28 @@
 package core
 
 import (
-	"os"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/mpi"
-	"repro/internal/sim"
 )
 
-// Fast-forward has two mechanisms, both producing byte-identical results
-// (DESIGN.md §11):
+// The analytic fast-forward (default on, owned by internal/mpi) produces
+// byte-identical results (DESIGN.md §11): event chains that provably cannot
+// interact with any other pending event run inline at their exact (time,
+// scheduling-time) position via sim.Engine.AbsorbAsOf — the engine absorbs
+// an event only when every queued event orders strictly after it, i.e. the
+// absorbed event is literally the one dispatch would pop next. On top of it
+// the RMA port parks a provably-failing first lock check at issue and
+// resolves same-position grants inside the wake that discovered them.
+// Every surviving event keeps its literal key and every RNG draw its host
+// order, so the mechanism needs no eligibility gating at all.
 //
-//   - The analytic fast-forward (default on, owned by internal/mpi): event
-//     chains that provably cannot interact with any other pending event run
-//     inline at their exact (time, scheduling-time) position via
-//     sim.Engine.AbsorbAsOf — the engine absorbs an event only when every
-//     queued event orders strictly after it, i.e. the absorbed event is
-//     literally the one dispatch would pop next. On top of it the RMA port
-//     parks a provably-failing first lock check at issue and resolves
-//     same-position grants inside the wake that discovered them. Every
-//     surviving event keeps its literal key and every RNG draw its host
-//     order, so the mechanism needs no eligibility gating at all.
-//
-//   - The per-node lane split (opt-in via HDLS_FASTFORWARD=lanes): node-
-//     local event chains run on per-node engines merged in literal
-//     (time, born, seq) order by mpi.World.LaunchLanes. It is kept as
-//     verified infrastructure and for A/B experiments; measured net host
-//     cost exceeds the queue savings (EXPERIMENTS.md), so it is not the
-//     default.
-//
-// Neither switch is part of Config (nor of any cache key derived from it);
-// they exist for the differential oracle in fastforward_test.go and for
-// CI's forced-on/forced-off golden shards.
-var laneMode atomic.Bool
-
-func init() {
-	laneMode.Store(strings.EqualFold(os.Getenv("HDLS_FASTFORWARD"), "lanes"))
-}
+// HDLS_FASTFORWARD=0 (or off/false/no) selects the literal event-per-step
+// protocol; any other value, "lanes" included, leaves the fast-forward on.
+// An interleaved A/B in EXPERIMENTS.md measures both paths. The switch is
+// not part of Config (nor of any cache key derived from it); it exists for
+// the differential oracle in fastforward_test.go and for CI's
+// forced-on/forced-off golden shards.
 
 // FastForwardEnabled reports the analytic fast-forward switch.
 func FastForwardEnabled() bool { return mpi.FastForwardEnabled() }
@@ -48,36 +33,7 @@ func FastForwardEnabled() bool { return mpi.FastForwardEnabled() }
 // byte-identical results, so flipping it never changes observable output.
 func SetFastForward(on bool) bool { return mpi.SetFastForward(on) }
 
-// SetLaneMode sets the per-node lane-split switch and returns the previous
-// value (test and experiment hook).
-func SetLaneMode(on bool) bool { return laneMode.Swap(on) }
-
-// ffLanes reports whether this cell runs the MPI+MPI executor on per-node
-// lanes. The gates keep the lane interleaving provably byte-identical to
-// the literal single-engine run:
-//
-//   - noise CVs must be zero: ExecTime draws from the engine RNG only when
-//     a CV is nonzero, and RNG draws are a property of the global event
-//     order, which lanes do not preserve (only the per-node and cross-node
-//     projections of it). Transient slowdowns and background load remain
-//     eligible — perturb.Model.Factor is a pure function of (node, time).
-//   - no trace collection: the trace records events in global host order.
-//   - at least two nodes: with one node there is nothing to peel off the
-//     main engine.
-func (h *harness) ffLanes() bool {
-	c := h.cfg
-	return laneMode.Load() &&
-		h.tr == nil &&
-		c.Cluster.NoiseCV == 0 &&
-		c.Perturb.NoiseCV == 0 &&
-		c.Cluster.Nodes > 1
-}
-
-// engFor returns the engine rank r's worker chain runs on: its node's lane
-// under lane mode, the shared engine otherwise.
-func (h *harness) engFor(r *mpi.Rank) *sim.Engine { return r.World().EngineFor(r.Node()) }
-
-// lastRunPushes records the main engine's queue-insertion count of the most
+// lastRunPushes records the engine's queue-insertion count of the most
 // recent MPI+MPI run. It instruments the fast-forward event census in
 // fastforward_test.go: wall-clock comparisons drown in host noise, but the
 // number of engine events a cell costs is deterministic per configuration.

@@ -56,24 +56,6 @@ func (h *harness) runMPIMPI() error {
 	finished := 0
 	fin := func() { finished++ }
 
-	// Under lane mode (DESIGN.md §11) the setup collectives run on the
-	// main engine as always, but worker bodies of lane nodes are deferred:
-	// every barrier release fires at the same (time, born) main-engine
-	// position, so the last one — before any later-timed event can fire on
-	// any engine — schedules the deferred bodies onto their node lanes at
-	// that instant, in release order. Per-node relative order is exactly the
-	// literal release order, which is all the lane's private event stream
-	// can observe.
-	ff := h.ffLanes()
-	type laneStart struct {
-		node int
-		run  func()
-	}
-	var (
-		released int
-		deferred []laneStart
-	)
-
 	start := func(r *mpi.Rank) {
 		world.Comm().WinAllocateCont(r, "global-queue", 2, func(gw *mpi.Win) {
 			nodeComm := world.SplitTypeShared(r)
@@ -81,33 +63,13 @@ func (h *harness) runMPIMPI() error {
 				localWins[r.Node()] = lw
 				w := nodeComm.RankOf(r)
 				world.Comm().BarrierCont(r, func() {
-					if !ff || r.Node() == 0 {
-						h.mpimpiWorker(r, gw, lw, w, inter, n, fin)
-					} else {
-						deferred = append(deferred, laneStart{node: r.Node(), run: func() {
-							h.mpimpiWorker(r, gw, lw, w, inter, n, fin)
-						}})
-					}
-					released++
-					if ff && released == world.Size() {
-						now := world.Engine().Now()
-						for _, d := range deferred {
-							world.EngineFor(d.node).ScheduleAsOf(now, now, d.run)
-						}
-						deferred = nil
-					}
+					h.mpimpiWorker(r, gw, lw, w, inter, n, fin)
 				})
 			})
 		})
 	}
 
-	var runErr error
-	if ff {
-		world.EnableLanes()
-		runErr = world.LaunchLanes(start)
-	} else {
-		runErr = world.Launch(start)
-	}
+	runErr := world.Launch(start)
 	lastRunPushes.Store(uint64(world.Engine().PushStamp()))
 	if runErr != nil {
 		return runErr
@@ -164,7 +126,7 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 		schedKnd trace.Kind
 		lockCont func()
 		fopSched func(int64)
-		eng      = h.engFor(r)
+		eng      = r.World().Engine()
 	)
 	fop := gw.NewFetchAndOpCont(r)
 
@@ -196,14 +158,14 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 		done()
 	}
 	// doneExit retires the rank after it published global exhaustion — the
-	// position where the literal rank resumed from UnlockAsOf and returned.
+	// position where the literal rank resumed from its unlock and returned.
 	doneExit := func(release sim.Time) {
 		h.traceSched(worker, node, trace.KindSchedGlobal, schedT0, release)
 		done()
 	}
-	unlockExec := lw.NewUnlockCont(r, 0, mpi.LockExclusive, execCont)
-	unlockExit := lw.NewUnlockCont(r, 0, mpi.LockExclusive, exitCont)
-	unlockDone := lw.NewUnlockCont(r, 0, mpi.LockExclusive, doneExit)
+	unlockExec := lw.NewUnlockCont(r, 0, execCont)
+	unlockExit := lw.NewUnlockCont(r, 0, exitCont)
+	unlockDone := lw.NewUnlockCont(r, 0, doneExit)
 
 	// fopSched completes the refill: it fires where the literal rank
 	// resumed from its second Fetch_and_op, holding the obtained range.
@@ -293,7 +255,7 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 		eng.AbsorbAsOf(now+ws, now, refill)
 	}
 
-	lockCont = lw.NewLockCont(r, 0, mpi.LockExclusive, granted)
+	lockCont = lw.NewLockCont(r, 0, granted)
 
 	schedT0 = r.Now()
 	lockCont()

@@ -7,8 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// TestRankOfIndexed checks the O(1) RankOf index on every communicator
-// shape: the contiguous world and node communicators and a strided Split.
+// TestRankOfIndexed checks the O(1) RankOf on both communicator shapes —
+// the world and the node communicators — including non-members.
 func TestRankOfIndexed(t *testing.T) {
 	cl := cluster.MiniHPC(4)
 	eng := sim.NewEngine(1)
@@ -21,21 +21,17 @@ func TestRankOfIndexed(t *testing.T) {
 			t.Errorf("world RankOf(%d) = %d", r.Rank(), got)
 		}
 		nc := w.SplitTypeShared(r)
-		if got := nc.RankOf(r); got != r.Core() {
-			t.Errorf("node RankOf(rank %d) = %d, want core %d", r.Rank(), got, r.Core())
+		me := nc.RankOf(r)
+		if me != r.Core() {
+			t.Errorf("node RankOf(rank %d) = %d, want core %d", r.Rank(), me, r.Core())
 		}
-		// Odd/even split with reversed key order: a non-contiguous comm.
-		sc := w.Comm().Split(r, r.Rank()%2, -r.Rank())
-		me := sc.RankOf(r)
-		if sc.WorldRank(me) != r.Rank() {
-			t.Errorf("split comm index broken: RankOf→WorldRank = %d for rank %d", sc.WorldRank(me), r.Rank())
+		if nc.WorldRank(me) != r.Rank() {
+			t.Errorf("node comm index broken: RankOf→WorldRank = %d for rank %d", nc.WorldRank(me), r.Rank())
 		}
-		// A rank is never a member of the other color's communicator.
-		if r.Rank()%2 == 0 {
-			other := w.Rank((r.Rank() + 1) % w.Size())
-			if got := sc.RankOf(other); got != -1 {
-				t.Errorf("RankOf(non-member) = %d, want -1", got)
-			}
+		// A rank is never a member of another node's communicator.
+		other := w.Rank((r.Rank() + 4) % w.Size())
+		if got := nc.RankOf(other); got != -1 {
+			t.Errorf("RankOf(non-member) = %d, want -1", got)
 		}
 	})
 	if err != nil {
@@ -45,24 +41,43 @@ func TestRankOfIndexed(t *testing.T) {
 
 // TestWorldResetMatchesFresh verifies World.Reset's pooling contract: a
 // world reset onto a reset engine reproduces a fresh world's run bit for
-// bit, including RMA lock accounting, across a shape change.
+// bit, including RMA lock accounting, across a shape change. Every rank
+// allocates the global and its node's shared window, passes a barrier,
+// adds its rank to the global counter under the node lock, and rank 0
+// reads the total after a second barrier.
 func TestWorldResetMatchesFresh(t *testing.T) {
-	run := func(eng *sim.Engine, w *World) (float64, int64, sim.Time) {
-		var sum float64
-		var win *Win
-		err := w.Run(func(r *Rank) {
-			wn := w.Comm().WinAllocate(r, "w", 2)
-			win = wn
-			w.Comm().Barrier(r)
-			wn.Lock(r, 0, LockExclusive)
-			wn.FetchAndOp(r, 0, 0, 1)
-			wn.Unlock(r, 0, LockExclusive)
-			sum = w.Comm().Allreduce(r, float64(r.Rank()), OpSum)
+	run := func(eng *sim.Engine, w *World) (int64, int64, sim.Time) {
+		var sum, attempts int64
+		nodeWins := make([]*Win, w.Cluster().Nodes)
+		err := w.Launch(func(r *Rank) {
+			w.Comm().WinAllocateCont(r, "w", 2, func(gw *Win) {
+				w.SplitTypeShared(r).WinAllocateSharedCont(r, "q", 1, func(lw *Win) {
+					nodeWins[r.Node()] = lw
+					fop := gw.NewFetchAndOpCont(r)
+					unlock := lw.NewUnlockCont(r, 0, func(sim.Time) {
+						w.Comm().BarrierCont(r, func() {
+							if r.Rank() == 0 {
+								fop(0, 0, 0, func(v int64) { sum = v })
+							}
+						})
+					})
+					lock := lw.NewLockCont(r, 0, func() {
+						fop(0, 0, int64(r.Rank()), func(int64) {
+							now := eng.Now()
+							unlock(now, now)
+						})
+					})
+					w.Comm().BarrierCont(r, lock)
+				})
+			})
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sum, win.LockAttempts, eng.Now()
+		for _, lw := range nodeWins {
+			attempts += lw.LockAttempts
+		}
+		return sum, attempts, eng.Now()
 	}
 
 	cl := cluster.MiniHPC(2)
@@ -72,6 +87,9 @@ func TestWorldResetMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	sumF, attF, endF := run(engF, wF)
+	if sumF != 120 { // 0+1+…+15
+		t.Fatalf("fresh world counted %d, want 120", sumF)
+	}
 
 	// Pooled path: dirty the arena with a different shape first.
 	eng := sim.NewEngine(99)

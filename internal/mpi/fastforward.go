@@ -26,8 +26,8 @@ func init() {
 
 // envFastForward interprets the HDLS_FASTFORWARD environment variable:
 // "0"/"off"/"false"/"no" (any case) force the literal event-per-step
-// protocol, anything else — including unset and the "lanes" mode consumed by
-// internal/core — leaves the analytic fast-forward on.
+// protocol; anything else, unset included, leaves the analytic fast-forward
+// on.
 func envFastForward(v string) bool {
 	switch strings.ToLower(v) {
 	case "0", "off", "false", "no":

@@ -1,13 +1,16 @@
 // Package mpi models an MPI-3 runtime on top of the discrete-event engine in
 // internal/sim. It provides the subset of MPI the paper's implementation
-// rests on — two-sided messaging, collectives, passive-target RMA with the
-// lock-polling protocol, and MPI-3 shared-memory windows
-// (MPI_Win_allocate_shared / MPI_Comm_split_type(SHARED)) — with explicit
-// cost models taken from the cluster description.
+// rests on — window allocation and a barrier, passive-target RMA with
+// exclusive locks under the lock-polling protocol, MPI_Fetch_and_op, and
+// MPI-3 shared-memory windows (MPI_Win_allocate_shared /
+// MPI_Comm_split_type(SHARED)) — with explicit cost models taken from the
+// cluster description.
 //
-// Ranks are simulated processes; window memory is real Go memory touched
-// only while a rank holds engine control, so the model is race-free by
-// construction while contention and queueing emerge from the Server ports.
+// Ranks are simulated processes (World.Run, the blocking calls) or
+// goroutine-free machines (World.Launch, the *Cont calls). Window memory is
+// real Go memory touched only inside engine events, so the model is
+// race-free by construction while contention and queueing emerge from the
+// per-node RMA ports.
 package mpi
 
 import (
@@ -15,12 +18,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-)
-
-// Wildcards for two-sided matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
 )
 
 // World is a set of ranks placed on a simulated cluster. Ranks are numbered
@@ -34,13 +31,11 @@ type World struct {
 	nodeOff   []int // first world rank of each node
 	ranks     []*Rank
 
-	// nicPort serializes inter-node message handling per node.
-	nicPort []*sim.Server
 	// memPort serializes RMA operations (including lock attempts) targeting
 	// windows hosted on a node. This is the resource whose saturation
 	// produces the paper's lock-polling pathology. Each port also carries
-	// the virtual lock-poller machinery (see rma.go): contended Win.Lock
-	// callers park instead of generating one host event per retry, and their
+	// the virtual lock-poller machinery (see rma.go): contended lock
+	// attempts park instead of generating one host event per retry, and their
 	// poll attempts are replayed arithmetically, in arrival order, whenever
 	// the port or the lock state is touched.
 	memPort []*rmaPort
@@ -56,24 +51,11 @@ type World struct {
 	// nothing in steady state.
 	wakeFree *wakeRec
 
-	// inlineGrants collects lock grants that advancePort resolved at exactly
-	// the running wake event's position; the wake runs them after
-	// reconciliation, replacing the same-key grant events the literal
+	// inlineGrant holds the lock grant that advancePort resolved at exactly
+	// the running wake event's position; the wake runs it after
+	// reconciliation, replacing the same-key grant event the literal
 	// protocol would have fired immediately afterwards (DESIGN.md §11).
-	inlineGrants []func()
-
-	// lanes holds the per-node fast-forward engines (DESIGN.md §11): when
-	// laneOn is set, node n ≥ 1 runs its node-local event chains on
-	// lanes[n] while node 0 — which hosts the globally shared window — and
-	// all cross-node traffic stay on eng. lanes[0] is always nil. The lane
-	// engines are pooled across Reset like every other arena structure;
-	// laneOn is re-armed per cell via EnableLanes.
-	lanes  []*sim.Engine
-	laneOn bool
-	// mergeEngs/mergeKeys are LaunchLanes' merge scratch (dense engine list
-	// and cached head keys), pooled across cells like the lanes themselves.
-	mergeEngs []*sim.Engine
-	mergeKeys []engKey
+	inlineGrant func()
 }
 
 // NewWorld creates up to ranksPerNode ranks on each node of cfg: node n
@@ -92,12 +74,10 @@ func NewWorld(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) (*World, e
 		cfg:       cfg,
 		nodeRanks: make([]int, cfg.Nodes),
 		nodeOff:   make([]int, cfg.Nodes),
-		nicPort:   make([]*sim.Server, cfg.Nodes),
 		memPort:   make([]*rmaPort, cfg.Nodes),
 	}
 	size := 0
 	for n := 0; n < cfg.Nodes; n++ {
-		w.nicPort[n] = &sim.Server{}
 		w.memPort[n] = &rmaPort{}
 		k := ranksPerNode
 		if c := cfg.Cores(n); k > c {
@@ -108,7 +88,6 @@ func NewWorld(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) (*World, e
 		size += k
 	}
 	w.ranks = make([]*Rank, size)
-	worldRanks := make([]int, size)
 	for n := 0; n < cfg.Nodes; n++ {
 		for c := 0; c < w.nodeRanks[n]; c++ {
 			r := w.nodeOff[n] + c
@@ -118,17 +97,16 @@ func NewWorld(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) (*World, e
 				node:  n,
 				core:  c,
 			}
-			worldRanks[r] = r
 		}
 	}
-	w.world = newComm(w, worldRanks, "world")
+	w.world = newComm(w, 0, size, "world")
 	return w, nil
 }
 
 // Reset reinitializes a pooled world in place for a new cell on eng (which
-// the caller has already Reset): topology slices, rank structs, NIC and RMA
-// ports, communicators and window pools are rebuilt or cleared while keeping
-// their backing allocations, so a reused world behaves observationally
+// the caller has already Reset): topology slices, rank structs, RMA ports,
+// communicators and window pools are rebuilt or cleared while keeping their
+// backing allocations, so a reused world behaves observationally
 // identically to NewWorld(eng, cfg, ranksPerNode) — same rank placement,
 // zeroed ports and counters, fresh collective state — with O(1) steady-state
 // allocations. Retired windows move to the reuse pool so the next cell's
@@ -144,15 +122,9 @@ func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) er
 	w.cfg = cfg
 	w.nodeRanks = resizeZeroed(w.nodeRanks, cfg.Nodes)
 	w.nodeOff = resizeZeroed(w.nodeOff, cfg.Nodes)
-	w.nicPort = resizeSlice(w.nicPort, cfg.Nodes)
 	w.memPort = resizeSlice(w.memPort, cfg.Nodes)
 	size := 0
 	for n := 0; n < cfg.Nodes; n++ {
-		if w.nicPort[n] == nil {
-			w.nicPort[n] = &sim.Server{}
-		} else {
-			*w.nicPort[n] = sim.Server{}
-		}
 		if w.memPort[n] == nil {
 			w.memPort[n] = &rmaPort{}
 		} else {
@@ -166,9 +138,8 @@ func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) er
 		w.nodeOff[n] = size
 		size += k
 	}
-	w.inlineGrants = w.inlineGrants[:0]
+	w.inlineGrant = nil
 	w.ranks = resizeSlice(w.ranks, size)
-	worldRanks := make([]int, size)
 	for n := 0; n < cfg.Nodes; n++ {
 		for c := 0; c < w.nodeRanks[n]; c++ {
 			i := w.nodeOff[n] + c
@@ -179,11 +150,9 @@ func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) er
 			}
 			pollerBuf := r.pollerBuf
 			*r = Rank{world: w, rank: i, node: n, core: c, pollerBuf: pollerBuf}
-			worldRanks[i] = i
 		}
 	}
-	w.world = newComm(w, worldRanks, "world")
-	w.laneOn = false
+	w.world = newComm(w, 0, size, "world")
 	w.nodeComms = resizeSlice(w.nodeComms, cfg.Nodes)
 	for i := range w.nodeComms {
 		w.nodeComms[i] = nil
@@ -266,167 +235,13 @@ func (w *World) Run(body func(*Rank)) error {
 	return w.eng.Run()
 }
 
-// EnableLanes arms the per-node fast-forward lanes for this cell: node
-// n ≥ 1 gets its own engine (created on first use, Reset in place on
-// reuse) onto which the RMA layer routes that node's local event chains —
-// lock attempts, critical sections, compute completions, wake replays —
-// while node 0 and all cross-node traffic stay on the main engine. The
-// caller is responsible for the eligibility gating (no RNG-drawing noise,
-// no trace collection) and for driving the run with LaunchLanes; see
-// DESIGN.md §11 for the equivalence argument.
-func (w *World) EnableLanes() {
-	w.lanes = resizeSlice(w.lanes, w.cfg.Nodes)
-	for n := 1; n < w.cfg.Nodes; n++ {
-		if w.lanes[n] == nil {
-			w.lanes[n] = sim.NewEngine(int64(n))
-		} else {
-			w.lanes[n].Reset(int64(n))
-		}
-		w.lanes[n].ShareSeq(w.eng)
-		// A merged engine's queue head says nothing about the group's next
-		// event, so inline absorption (sim.AbsorbAsOf) is unsound here.
-		w.lanes[n].SetAbsorb(false)
-	}
-	w.eng.SetAbsorb(false)
-	w.laneOn = true
-}
-
-// LanesEnabled reports whether this cell runs with fast-forward lanes.
-func (w *World) LanesEnabled() bool { return w.laneOn }
-
-// engOf returns the engine node's local event chains run on: the node's
-// lane when lanes are armed, the main engine otherwise (and always for
-// node 0, which hosts the cross-node shared state).
-func (w *World) engOf(node int) *sim.Engine {
-	if w.laneOn && node < len(w.lanes) {
-		if l := w.lanes[node]; l != nil {
-			return l
-		}
-	}
-	return w.eng
-}
-
-// EngineFor exposes engOf to executors: the engine rank-local events for
-// the given node must be scheduled on.
-func (w *World) EngineFor(node int) *sim.Engine { return w.engOf(node) }
-
-// LaunchLanes is Launch for a lane-armed world: rank starts fire at virtual
-// time zero on the main engine exactly as in Launch, but the drive loop
-// K-way merges the engines instead of handing the baton to Run: each
-// iteration fires the single event with the smallest (time, born, seq) key
-// across the main engine and every lane. Because the lanes draw sequence
-// numbers from the main engine's counter (ShareSeq), the merge fires events
-// in exactly the total order one shared engine would have used, by
-// induction: if every event so far fired in literal order, every scheduling
-// call so far happened in literal order, so every pending event carries its
-// literal key — and the smallest head across the group is the literal next
-// event (each engine's head is its own minimum, and a cross-engine schedule
-// always lands at or after the issuing event's key, so nothing smaller can
-// still be in flight). DESIGN.md §11 spells the argument out.
-// The merge costs nothing close to a full K-engine scan per event: head
-// keys are cached and re-read only when an engine's PushStamp moved, and
-// once a champion engine is picked it is stepped in a burst — an O(1)
-// check per step — for as long as it provably stays the group minimum: no
-// step pushed onto another engine (GroupSeq advanced exactly as much as
-// the champion's own PushStamp) and the champion's new head is still below
-// the runner-up key from the last scan. Lane-local chains (grant, sync,
-// chunk calculation, unlock, compute) burst through without touching the
-// other engines at all.
-func (w *World) LaunchLanes(start func(*Rank)) error {
-	for _, r := range w.ranks {
-		r := r
-		w.eng.Schedule(0, func() { start(r) })
-	}
-	engs := w.mergeEngs[:0]
-	engs = append(engs, w.eng)
-	for n := 1; n < len(w.lanes); n++ {
-		if w.lanes[n] != nil {
-			engs = append(engs, w.lanes[n])
-		}
-	}
-	w.mergeEngs = engs
-	keys := w.mergeKeys
-	if cap(keys) < len(engs) {
-		keys = make([]engKey, len(engs))
-	}
-	keys = keys[:len(engs)]
-	w.mergeKeys = keys
-	for i, l := range engs {
-		keys[i].load(l)
-	}
-	steps := 0
-	for {
-		// Scan: refresh stale keys, track champion and runner-up.
-		best, chal := -1, -1
-		for i := range engs {
-			if keys[i].stamp != engs[i].PushStamp() {
-				keys[i].load(engs[i])
-			}
-			if !keys[i].ok {
-				continue
-			}
-			switch {
-			case best < 0 || keys[i].less(&keys[best]):
-				best, chal = i, best
-			case chal < 0 || keys[i].less(&keys[chal]):
-				chal = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		ch := engs[best]
-		for {
-			seq0, p0 := ch.GroupSeq(), ch.PushStamp()
-			ch.Step()
-			steps++
-			if steps >= 512 {
-				steps = 0
-				if w.eng.Interrupted() {
-					return sim.ErrInterrupted
-				}
-			}
-			cross := ch.GroupSeq()-seq0 != ch.PushStamp()-p0
-			keys[best].load(ch)
-			if cross || !keys[best].ok || (chal >= 0 && !keys[best].less(&keys[chal])) {
-				break
-			}
-		}
-	}
-}
-
-// engKey caches one merged engine's head event key (see LaunchLanes).
-type engKey struct {
-	t, born sim.Time
-	seq     uint32
-	stamp   uint32
-	ok      bool
-}
-
-func (k *engKey) load(e *sim.Engine) {
-	k.t, k.born, k.seq, k.ok = e.NextKey()
-	k.stamp = e.PushStamp()
-}
-
-// less orders head keys exactly as the engine orders events; seq numbers
-// are group-unique under ShareSeq, so the order is total.
-func (k *engKey) less(o *engKey) bool {
-	if k.t != o.t {
-		return k.t < o.t
-	}
-	if k.born != o.born {
-		return k.born < o.born
-	}
-	return k.seq < o.seq
-}
-
 // Launch drives a world of goroutine-free machine ranks: start is invoked
 // for every rank, in rank order, inside an engine event at virtual time
 // zero — the exact position Start's per-rank spawn resume occupied — and
 // the engine then runs to completion. start must build the rank's
 // event-driven state machine (the *Cont APIs) and return; no simulated
 // process is created, so the cell spawns no goroutines. Machine ranks must
-// not call the blocking Rank primitives (Compute, Lock, collectives without
+// not call the blocking primitives (Compute, FetchAndOp, collectives without
 // a Cont suffix) — those need a process to park.
 func (w *World) Launch(start func(*Rank)) error {
 	// The literal A/B runs of the fast-forward differential tests force
@@ -447,15 +262,8 @@ type Rank struct {
 	core  int
 	proc  *sim.Proc
 
-	mailbox  []*Message    // arrived, unmatched messages
-	recvWait sim.WaitQueue // parked receivers
-	recvSrc  int           // active posted receive (valid while recvWait nonempty)
-	recvTag  int
-
-	computeTime sim.Time // cumulative execution time (for utilization stats)
-
 	// pollerBuf is the rank's reusable lock-poller: a rank has at most one
-	// outstanding Win.Lock, so the contended path allocates nothing in
+	// outstanding lock attempt, so the contended path allocates nothing in
 	// steady state.
 	pollerBuf *poller
 }
@@ -485,33 +293,20 @@ func (r *Rank) World() *World { return r.world }
 // machine ranks of World.Launch).
 func (r *Rank) Proc() *sim.Proc { return r.proc }
 
-// Now reports virtual time: the rank's lane clock when fast-forward lanes
-// are armed (node-local chains run there), the main engine otherwise.
-func (r *Rank) Now() sim.Time { return r.world.engOf(r.node).Now() }
+// Now reports virtual time.
+func (r *Rank) Now() sim.Time { return r.world.eng.Now() }
 
 // Compute executes ref seconds of reference-core work on this rank's core,
 // scaled by the node's speed and the cluster's noise/perturbation models.
 func (r *Rank) Compute(ref sim.Time) {
-	d := r.world.cfg.ExecTime(r.node, ref, r.proc.Now(), r.world.eng.Rand())
-	r.computeTime += d
-	r.proc.Sleep(d)
+	r.proc.Sleep(r.world.cfg.ExecTime(r.node, ref, r.proc.Now(), r.world.eng.Rand()))
 }
 
-// ComputeTime reports the cumulative time this rank spent in Compute.
-func (r *Rank) ComputeTime() sim.Time { return r.computeTime }
-
-// ComputeCost charges ref seconds of reference work starting now and
-// returns the scaled duration without scheduling anything: fully
-// event-driven executors schedule their own completion event at
-// (now+d, now) — the exact position Compute's wake-up occupied.
+// ComputeCost returns the scaled duration of ref seconds of reference work
+// starting now, without scheduling anything: fully event-driven executors
+// schedule their own completion event at (now+d, now) — the exact position
+// Compute's wake-up occupied.
 func (r *Rank) ComputeCost(ref sim.Time) sim.Time {
-	eng := r.world.engOf(r.node)
-	d := r.world.cfg.ExecTime(r.node, ref, eng.Now(), eng.Rand())
-	r.computeTime += d
-	return d
-}
-
-// sameNode reports whether two ranks share a node (shared-memory domain).
-func (w *World) sameNode(a, b int) bool {
-	return w.ranks[a].node == w.ranks[b].node
+	eng := r.world.eng
+	return r.world.cfg.ExecTime(r.node, ref, eng.Now(), eng.Rand())
 }

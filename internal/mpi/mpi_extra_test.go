@@ -7,90 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestMessagesFromSameSourceArriveFIFO(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var got []int
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			for i := 0; i < 10; i++ {
-				r.Send(1, 0, 64, i)
-			}
-		} else {
-			for i := 0; i < 10; i++ {
-				got = append(got, r.Recv(0, 0).Payload.(int))
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("message order = %v", got)
-		}
-	}
-}
-
-func TestLargeMessageSlowerThanSmall(t *testing.T) {
-	timeFor := func(bytes int) sim.Time {
-		_, w := newTestWorld(t, 2, 1)
-		var at sim.Time
-		if err := w.Run(func(r *Rank) {
-			if r.Rank() == 0 {
-				r.Send(1, 0, bytes, nil)
-			} else {
-				r.Recv(0, 0)
-				at = r.Now()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	small := timeFor(8)
-	large := timeFor(1 << 24) // 16 MiB
-	if large <= small {
-		t.Fatalf("16MiB message (%v) not slower than 8B (%v)", large, small)
-	}
-	// The bandwidth term must roughly match: 16MiB at 12.5 GB/s ≈ 1.3 ms.
-	wire := float64(large - small)
-	if wire < 0.8e-3 || wire > 3e-3 {
-		t.Fatalf("bandwidth term = %v s, want ≈1.3 ms", wire)
-	}
-}
-
-func TestIncastContentionSerializesAtNIC(t *testing.T) {
-	// Eight senders to one receiver: NIC port service must serialize the
-	// deliveries, so the last arrival is later than a lone message.
-	lastFor := func(senders int) sim.Time {
-		eng := sim.NewEngine(1)
-		cfg := cluster.MiniHPC(senders + 1)
-		w, err := NewWorld(eng, &cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last sim.Time
-		if err := w.Run(func(r *Rank) {
-			if r.Rank() < senders {
-				r.Send(senders, 0, 8, nil)
-			} else {
-				for i := 0; i < senders; i++ {
-					r.Recv(AnySource, AnyTag)
-				}
-				last = r.Now()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return last
-	}
-	one := lastFor(1)
-	eight := lastFor(8)
-	if eight <= one {
-		t.Fatalf("8-way incast (%v) not slower than single send (%v)", eight, one)
-	}
-}
-
 func TestCollectiveKindMismatchPanics(t *testing.T) {
 	_, w := newTestWorld(t, 1, 2)
 	panicked := false
@@ -103,7 +19,7 @@ func TestCollectiveKindMismatchPanics(t *testing.T) {
 		if r.Rank() == 0 {
 			w.Comm().Barrier(r)
 		} else {
-			w.Comm().Allreduce(r, 1, OpSum)
+			w.Comm().WinAllocate(r, "w", 1)
 		}
 	})
 	_ = err // the survivor deadlocks; that's expected after the panic
@@ -112,24 +28,28 @@ func TestCollectiveKindMismatchPanics(t *testing.T) {
 	}
 }
 
-func TestReduceOps(t *testing.T) {
-	if OpSum.apply(2, 3) != 5 || OpMax.apply(2, 3) != 3 || OpMin.apply(2, 3) != 2 {
-		t.Fatal("reduce op table broken")
-	}
-}
-
 func TestWinAccountingCounters(t *testing.T) {
 	_, w := newTestWorld(t, 1, 4)
 	var win *Win
-	err := w.Run(func(r *Rank) {
-		nc := w.SplitTypeShared(r)
-		wn := nc.WinAllocateShared(r, "acc", 1)
-		win = wn
-		for i := 0; i < 3; i++ {
-			wn.Lock(r, 0, LockExclusive)
-			wn.Unlock(r, 0, LockExclusive)
-			wn.FetchAndOp(r, 0, 0, 1)
-		}
+	err := w.Launch(func(r *Rank) {
+		w.SplitTypeShared(r).WinAllocateSharedCont(r, "acc", 1, func(wn *Win) {
+			win = wn
+			eng := w.Engine()
+			fop := wn.NewFetchAndOpCont(r)
+			left := 3
+			var lock func()
+			next := func(int64) {
+				if left--; left > 0 {
+					lock()
+				}
+			}
+			unlock := wn.NewUnlockCont(r, 0, func(sim.Time) { fop(0, 0, 1, next) })
+			lock = wn.NewLockCont(r, 0, func() {
+				now := eng.Now()
+				unlock(now, now)
+			})
+			lock()
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +63,9 @@ func TestWinAccountingCounters(t *testing.T) {
 	if win.AtomicOps != 12 {
 		t.Fatalf("AtomicOps = %d, want 12", win.AtomicOps)
 	}
+	if got := win.Shared(w.Rank(0), 0)[0]; got != 12 {
+		t.Fatalf("counter = %d, want 12", got)
+	}
 	if w.MemPortBusy(0) <= 0 {
 		t.Fatal("window port recorded no busy time")
 	}
@@ -151,78 +74,57 @@ func TestWinAccountingCounters(t *testing.T) {
 func TestUnlockWithoutLockPanics(t *testing.T) {
 	_, w := newTestWorld(t, 1, 1)
 	panicked := false
-	err := w.Run(func(r *Rank) {
+	func() {
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
-		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "x", 1)
-		win.Unlock(r, 0, LockExclusive)
-	})
-	_ = err
+		_ = w.Launch(func(r *Rank) {
+			w.SplitTypeShared(r).WinAllocateSharedCont(r, "x", 1, func(win *Win) {
+				now := w.Engine().Now()
+				win.NewUnlockCont(r, 0, func(sim.Time) {})(now, now)
+			})
+		})
+	}()
 	if !panicked {
-		t.Fatal("Unlock without Lock did not panic")
+		t.Fatal("unlock without lock did not panic")
 	}
 }
 
 func TestSharedAccessValidation(t *testing.T) {
-	// Direct access to a non-shared window panics.
-	_, w := newTestWorld(t, 1, 2)
-	panicked := 0
-	err := w.Run(func(r *Rank) {
+	// Direct access panics on a non-shared window, and on a shared window
+	// from a rank of another node.
+	_, w := newTestWorld(t, 2, 2)
+	plain, remote := 0, 0
+	nodeWins := make([]*Win, 2)
+	try := func(count *int, f func()) {
 		defer func() {
 			if recover() != nil {
-				panicked++
+				*count++
 			}
 		}()
-		win := w.Comm().WinAllocate(r, "plain", 1)
-		win.SharedRead(r, 0, 0)
-	})
-	_ = err
-	if panicked != 2 {
-		t.Fatalf("%d panics, want 2 (both ranks)", panicked)
+		f()
 	}
-}
-
-func TestBcastNonRootWaitsForRoot(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var nonRootAt sim.Time
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Proc().Sleep(3)
-			w.Comm().Bcast(r, 0, 9)
-		} else {
-			w.Comm().Bcast(r, 0, 0)
-			nonRootAt = r.Now()
-		}
+	err := w.Launch(func(r *Rank) {
+		w.Comm().WinAllocateCont(r, "plain", 1, func(win *Win) {
+			try(&plain, func() { win.Shared(r, 0) })
+			w.SplitTypeShared(r).WinAllocateSharedCont(r, "node", 1, func(nw *Win) {
+				nodeWins[r.Node()] = nw
+				w.Comm().BarrierCont(r, func() {
+					try(&remote, func() { nodeWins[1-r.Node()].Shared(r, 0) })
+				})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nonRootAt < 3 {
-		t.Fatalf("non-root returned from Bcast at %v, before the root entered", nonRootAt)
+	if plain != 4 {
+		t.Fatalf("%d panics on the non-shared window, want 4 (every rank)", plain)
 	}
-}
-
-func TestRootDoesNotWaitInBcast(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var rootAt sim.Time
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			w.Comm().Bcast(r, 0, 1)
-			rootAt = r.Now()
-		} else {
-			r.Proc().Sleep(10)
-			w.Comm().Bcast(r, 0, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rootAt >= 10 {
-		t.Fatalf("root blocked in Bcast until %v", rootAt)
+	if remote != 4 {
+		t.Fatalf("%d panics on another node's shared window, want 4 (every rank)", remote)
 	}
 }
 
@@ -244,31 +146,5 @@ func TestManyRanksBarrierScales(t *testing.T) {
 	}
 	if done != 256 {
 		t.Fatalf("%d ranks finished, want 256", done)
-	}
-}
-
-func TestLockFairnessIsNotStarvation(t *testing.T) {
-	// Polling locks are unfair, but over many acquisitions every rank must
-	// make progress (the executor's liveness depends on it).
-	_, w := newTestWorld(t, 1, 8)
-	acq := make([]int, 8)
-	err := w.Run(func(r *Rank) {
-		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "fair", 1)
-		for i := 0; i < 50; i++ {
-			win.Lock(r, 0, LockExclusive)
-			r.Proc().Sleep(2 * sim.Microsecond)
-			win.Unlock(r, 0, LockExclusive)
-			acq[nc.RankOf(r)]++
-			r.Compute(10 * sim.Microsecond)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range acq {
-		if n != 50 {
-			t.Fatalf("rank %d completed %d acquisitions, want 50", i, n)
-		}
 	}
 }

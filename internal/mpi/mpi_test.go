@@ -42,126 +42,6 @@ func TestNewWorldRejectsOversubscription(t *testing.T) {
 	}
 }
 
-func TestSendRecvAcrossNodes(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var got *Message
-	var recvAt sim.Time
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Send(1, 7, 1024, "payload")
-		} else {
-			got = r.Recv(0, 7)
-			recvAt = r.Now()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || got.Src != 0 || got.Tag != 7 || got.Payload.(string) != "payload" {
-		t.Fatalf("bad message: %+v", got)
-	}
-	// Inter-node: must include at least the wire latency.
-	if recvAt < w.Cluster().Net.Latency {
-		t.Fatalf("receive completed at %v, faster than latency %v", recvAt, w.Cluster().Net.Latency)
-	}
-}
-
-func TestSendRecvIntraNodeFasterThanInterNode(t *testing.T) {
-	timeFor := func(nodes, perNode int, dst int) sim.Time {
-		_, w := newTestWorld(t, nodes, perNode)
-		var at sim.Time
-		if err := w.Run(func(r *Rank) {
-			switch r.Rank() {
-			case 0:
-				r.Send(dst, 0, 64, nil)
-			case dst:
-				r.Recv(0, 0)
-				at = r.Now()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	intra := timeFor(1, 2, 1)
-	inter := timeFor(2, 1, 1)
-	if intra >= inter {
-		t.Fatalf("intra-node %v not faster than inter-node %v", intra, inter)
-	}
-}
-
-func TestRecvBlocksUntilArrival(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var recvAt sim.Time
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Proc().Sleep(5)
-			r.Send(1, 1, 8, nil)
-		} else {
-			r.Recv(AnySource, AnyTag)
-			recvAt = r.Now()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recvAt < 5 {
-		t.Fatalf("Recv returned at %v, before message was sent", recvAt)
-	}
-}
-
-func TestRecvMatchingByTagAndSource(t *testing.T) {
-	_, w := newTestWorld(t, 1, 3)
-	var order []int
-	err := w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(2, 10, 8, nil)
-		case 1:
-			r.Proc().Sleep(1e-3)
-			r.Send(2, 20, 8, nil)
-		case 2:
-			m := r.Recv(1, 20) // must skip the earlier tag-10 message
-			order = append(order, m.Tag)
-			m = r.Recv(AnySource, AnyTag)
-			order = append(order, m.Tag)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != 20 || order[1] != 10 {
-		t.Fatalf("receive order = %v, want [20 10]", order)
-	}
-}
-
-func TestIprobe(t *testing.T) {
-	_, w := newTestWorld(t, 1, 2)
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Send(1, 5, 8, nil)
-		} else {
-			if r.Iprobe(0, 5) {
-				t.Error("Iprobe true before any delay")
-			}
-			r.Proc().Sleep(1e-3)
-			if !r.Iprobe(0, 5) {
-				t.Error("Iprobe false after message arrival")
-			}
-			if r.Iprobe(0, 99) {
-				t.Error("Iprobe matched wrong tag")
-			}
-			r.Recv(0, 5)
-			if r.PendingMessages() != 0 {
-				t.Error("mailbox not drained")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
 	_, w := newTestWorld(t, 2, 4)
 	var minExit sim.Time = 1 << 30
@@ -198,69 +78,6 @@ func TestBarrierRepeats(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	_, w := newTestWorld(t, 2, 2)
-	got := make([]float64, 4)
-	err := w.Run(func(r *Rank) {
-		val := -1.0
-		if r.Rank() == 2 {
-			val = 42.5
-		}
-		got[r.Rank()] = w.Comm().Bcast(r, 2, val)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != 42.5 {
-			t.Fatalf("rank %d got %v, want 42.5", i, v)
-		}
-	}
-}
-
-func TestAllreduce(t *testing.T) {
-	_, w := newTestWorld(t, 2, 3)
-	sums := make([]float64, 6)
-	maxs := make([]float64, 6)
-	err := w.Run(func(r *Rank) {
-		sums[r.Rank()] = w.Comm().Allreduce(r, float64(r.Rank()+1), OpSum)
-		maxs[r.Rank()] = w.Comm().Allreduce(r, float64(r.Rank()), OpMax)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sums {
-		if sums[i] != 21 { // 1+2+...+6
-			t.Fatalf("rank %d sum = %v, want 21", i, sums[i])
-		}
-		if maxs[i] != 5 {
-			t.Fatalf("rank %d max = %v, want 5", i, maxs[i])
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	_, w := newTestWorld(t, 1, 4)
-	var rootGot []float64
-	err := w.Run(func(r *Rank) {
-		out := w.Comm().Gather(r, 1, float64(r.Rank()*r.Rank()))
-		if r.Rank() == 1 {
-			rootGot = out
-		} else if out != nil {
-			t.Errorf("non-root rank %d got non-nil gather result", r.Rank())
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 1, 4, 9}
-	for i := range want {
-		if rootGot[i] != want[i] {
-			t.Fatalf("gather = %v, want %v", rootGot, want)
-		}
-	}
-}
-
 func TestSplitTypeShared(t *testing.T) {
 	_, w := newTestWorld(t, 2, 3)
 	comms := make([]*Comm, 6)
@@ -289,29 +106,6 @@ func TestSplitTypeShared(t *testing.T) {
 		if comms[i].Size() != 3 {
 			t.Fatalf("node comm size = %d, want 3", comms[i].Size())
 		}
-	}
-}
-
-func TestCommSplitByColor(t *testing.T) {
-	_, w := newTestWorld(t, 2, 2)
-	sizes := make([]int, 4)
-	myRank := make([]int, 4)
-	err := w.Run(func(r *Rank) {
-		c := w.Comm().Split(r, r.Rank()%2, -r.Rank())
-		sizes[r.Rank()] = c.Size()
-		myRank[r.Rank()] = c.RankOf(r)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if sizes[i] != 2 {
-			t.Fatalf("rank %d split comm size = %d, want 2", i, sizes[i])
-		}
-	}
-	// Keys were -rank, so higher world ranks come first within a color.
-	if myRank[0] != 1 || myRank[2] != 0 {
-		t.Fatalf("color-0 ordering wrong: rank0→%d rank2→%d", myRank[0], myRank[2])
 	}
 }
 
@@ -363,131 +157,71 @@ func TestFetchAndOpReturnsDistinctOldValues(t *testing.T) {
 	}
 }
 
-func TestCompareAndSwap(t *testing.T) {
-	_, w := newTestWorld(t, 1, 2)
-	winners := 0
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "cas", 1)
-		if win.CompareAndSwap(r, 0, 0, 0, int64(r.Rank())+100) == 0 {
-			winners++
-		}
+// lockRounds drives every rank of w as a machine rank (World.Launch)
+// through rounds exclusive lock/unlock cycles on its node's shared window,
+// the production lock path. Each cycle holds the lock for hold and, after
+// the release, computes for think before the next attempt. onGrant runs
+// when a rank obtains the lock, onRelease right after its release. It
+// returns the node windows.
+func lockRounds(t testing.TB, w *World, rounds int, hold, think sim.Time, onGrant, onRelease func(*Rank)) []*Win {
+	t.Helper()
+	wins := make([]*Win, w.Cluster().Nodes)
+	finished := 0
+	err := w.Launch(func(r *Rank) {
+		w.SplitTypeShared(r).WinAllocateSharedCont(r, "q", 1, func(win *Win) {
+			wins[r.Node()] = win
+			eng := w.Engine()
+			left := rounds
+			var lock func()
+			unlock := win.NewUnlockCont(r, 0, func(release sim.Time) {
+				onRelease(r)
+				if left--; left == 0 {
+					finished++
+					return
+				}
+				eng.ScheduleAsOf(release+r.ComputeCost(think), release, lock)
+			})
+			lock = win.NewLockCont(r, 0, func() {
+				onGrant(r)
+				now := eng.Now()
+				unlock(now+hold, now)
+			})
+			lock()
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if winners != 1 {
-		t.Fatalf("%d CAS winners, want exactly 1", winners)
+	if finished != w.Size() {
+		t.Fatalf("%d of %d ranks finished their lock rounds", finished, w.Size())
 	}
-}
-
-func TestPutGet(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var got []int64
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "buf", 8)
-		if r.Rank() == 0 {
-			win.Put(r, 1, 2, []int64{10, 20, 30})
-			r.Send(1, 0, 1, nil) // notify
-		} else {
-			r.Recv(0, 0)
-			got = win.Get(r, 1, 2, 3)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{10, 20, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Get = %v, want %v", got, want)
-		}
-	}
+	return wins
 }
 
 func TestExclusiveLockMutualExclusion(t *testing.T) {
 	_, w := newTestWorld(t, 1, 8)
 	inside, peak := 0, 0
-	err := w.Run(func(r *Rank) {
-		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "q", 2)
-		for i := 0; i < 5; i++ {
-			win.Lock(r, 0, LockExclusive)
+	wins := lockRounds(t, w, 5, 10*sim.Microsecond, 0,
+		func(*Rank) {
 			inside++
 			if inside > peak {
 				peak = inside
 			}
-			r.Compute(10 * sim.Microsecond)
-			inside--
-			win.Unlock(r, 0, LockExclusive)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		},
+		func(*Rank) { inside-- })
 	if peak != 1 {
 		t.Fatalf("peak lock holders = %d, want 1", peak)
 	}
-}
-
-func TestSharedLockAllowsReadersExcludesWriter(t *testing.T) {
-	_, w := newTestWorld(t, 1, 4)
-	readersPeak := 0
-	readers := 0
-	var writerAt, lastReaderRelease sim.Time
-	err := w.Run(func(r *Rank) {
-		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "rw", 1)
-		if r.Rank() < 3 {
-			win.Lock(r, 0, LockShared)
-			readers++
-			if readers > readersPeak {
-				readersPeak = readers
-			}
-			r.Proc().Sleep(100 * sim.Microsecond)
-			readers--
-			if r.Now() > lastReaderRelease {
-				lastReaderRelease = r.Now()
-			}
-			win.Unlock(r, 0, LockShared)
-		} else {
-			r.Proc().Sleep(10 * sim.Microsecond) // let readers in first
-			win.Lock(r, 0, LockExclusive)
-			writerAt = r.Now()
-			win.Unlock(r, 0, LockExclusive)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if readersPeak < 2 {
-		t.Fatalf("readers did not overlap: peak = %d", readersPeak)
-	}
-	if writerAt < lastReaderRelease {
-		t.Fatalf("writer entered at %v before readers released at %v", writerAt, lastReaderRelease)
+	if got := wins[0].LockAcquisitions; got != 40 {
+		t.Fatalf("LockAcquisitions = %d, want 40", got)
 	}
 }
 
 func TestLockAttemptsGrowUnderContention(t *testing.T) {
 	attemptsFor := func(perNode int) float64 {
-		eng := sim.NewEngine(1)
-		cfg := cluster.MiniHPC(1)
-		w, err := NewWorld(eng, &cfg, perNode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var win *Win
-		if err := w.Run(func(r *Rank) {
-			nc := w.SplitTypeShared(r)
-			wn := nc.WinAllocateShared(r, "q", 1)
-			win = wn
-			for i := 0; i < 20; i++ {
-				wn.Lock(r, 0, LockExclusive)
-				r.Proc().Sleep(2 * sim.Microsecond)
-				wn.Unlock(r, 0, LockExclusive)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
+		_, w := newTestWorld(t, 1, perNode)
+		nop := func(*Rank) {}
+		win := lockRounds(t, w, 20, 2*sim.Microsecond, 0, nop, nop)[0]
 		return float64(win.LockAttempts) / float64(win.LockAcquisitions)
 	}
 	solo := attemptsFor(1)
@@ -497,6 +231,21 @@ func TestLockAttemptsGrowUnderContention(t *testing.T) {
 	}
 	if crowd < 1.5 {
 		t.Fatalf("contended attempts per acquisition = %v, want noticeably > 1", crowd)
+	}
+}
+
+func TestLockFairnessIsNotStarvation(t *testing.T) {
+	// Polling locks are unfair, but over many acquisitions every rank must
+	// make progress (the executor's liveness depends on it).
+	_, w := newTestWorld(t, 1, 8)
+	acq := make([]int, 8)
+	lockRounds(t, w, 50, 2*sim.Microsecond, 10*sim.Microsecond,
+		func(*Rank) {},
+		func(r *Rank) { acq[r.Core()]++ })
+	for i, n := range acq {
+		if n != 50 {
+			t.Fatalf("rank %d completed %d acquisitions, want 50", i, n)
+		}
 	}
 }
 
@@ -532,42 +281,43 @@ func TestRemoteAtomicSlowerThanLocal(t *testing.T) {
 func TestSharedWindowDirectAccess(t *testing.T) {
 	_, w := newTestWorld(t, 1, 2)
 	var got int64
-	err := w.Run(func(r *Rank) {
+	err := w.Launch(func(r *Rank) {
 		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "s", 4)
-		if r.Rank() == 0 {
-			win.SharedWrite(r, 1, 3, 77)
-			win.Sync(r)
-		}
-		nc.Barrier(r)
-		if r.Rank() == 1 {
-			win.Sync(r)
-			got = win.SharedRead(r, 1, 3)
-		}
+		nc.WinAllocateSharedCont(r, "s", 4, func(win *Win) {
+			if r.Rank() == 0 {
+				win.Shared(r, 1)[3] = 77
+			}
+			nc.BarrierCont(r, func() {
+				if r.Rank() == 1 {
+					got = win.Shared(r, 1)[3]
+				}
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 77 {
-		t.Fatalf("SharedRead = %d, want 77", got)
+		t.Fatalf("shared load = %d, want 77", got)
 	}
 }
 
 func TestWinAllocateSharedRejectsMultiNodeComm(t *testing.T) {
 	_, w := newTestWorld(t, 2, 1)
 	panicked := 0
-	err := w.Run(func(r *Rank) {
+	err := w.Launch(func(r *Rank) {
 		defer func() {
 			if recover() != nil {
 				panicked++
 			}
 		}()
-		w.Comm().WinAllocateShared(r, "bad", 1)
+		w.Comm().WinAllocateSharedCont(r, "bad", 1, func(*Win) {})
 	})
-	// Engine may report deadlock since ranks bail out of the collective.
-	_ = err
-	if panicked == 0 {
-		t.Fatal("WinAllocateShared on a multi-node communicator did not panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if panicked != 2 {
+		t.Fatalf("%d ranks panicked, want 2: WinAllocateSharedCont must reject a multi-node communicator", panicked)
 	}
 }
 
@@ -630,31 +380,9 @@ func BenchmarkFetchAndOpLocal(b *testing.B) {
 	cfg := cluster.MiniHPC(1)
 	w, _ := NewWorld(eng, &cfg, 2)
 	w.Start(func(r *Rank) {
-		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "b", 1)
+		win := w.Comm().WinAllocate(r, "b", 1)
 		for i := 0; i < b.N; i++ {
 			win.FetchAndOp(r, 0, 0, 1)
-		}
-	})
-	b.ResetTimer()
-	if err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkSendRecvPingPong(b *testing.B) {
-	eng := sim.NewEngine(1)
-	cfg := cluster.MiniHPC(2)
-	w, _ := NewWorld(eng, &cfg, 1)
-	w.Start(func(r *Rank) {
-		for i := 0; i < b.N; i++ {
-			if r.Rank() == 0 {
-				r.Send(1, 0, 8, nil)
-				r.Recv(1, 0)
-			} else {
-				r.Recv(0, 0)
-				r.Send(0, 0, 8, nil)
-			}
 		}
 	})
 	b.ResetTimer()

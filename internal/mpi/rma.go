@@ -11,11 +11,12 @@ import (
 // within the target's segment.
 //
 // Passive-target synchronization follows the lock-polling protocol the paper
-// discusses (citing Zhao et al.): Lock is acquire-by-retry, every attempt is
-// an RMA round serviced serially by the target node's window port, and
-// failed attempts back off for the cluster's PollInterval. Under contention
-// the attempt storm both delays the holder's own operations and stretches
-// grant hand-off — the mechanism behind the paper's SS results.
+// discusses (citing Zhao et al.): an exclusive lock is acquire-by-retry,
+// every attempt is an RMA round serviced serially by the target node's
+// window port, and failed attempts back off for the cluster's PollInterval.
+// Under contention the attempt storm both delays the holder's own
+// operations and stretches grant hand-off — the mechanism behind the
+// paper's SS results.
 type Win struct {
 	world  *World
 	comm   *Comm
@@ -34,9 +35,9 @@ type Win struct {
 	AtomicOps        int64
 }
 
+// lockState is one target's exclusive lock word plus its replay bookkeeping.
 type lockState struct {
-	excl    bool
-	readers int
+	excl bool
 
 	// relsInFlight counts releases that have been issued but not yet applied
 	// to the lock word. While it is zero and the lock is held, the lock can
@@ -67,7 +68,7 @@ type lockState struct {
 // keeps the *arithmetic* of every retry (each one still consumes port
 // service time, delays other requests, and bumps the attempt counters —
 // that feedback is the paper's SS pathology) but performs it lazily: the
-// waiting process parks, and its pending retries are replayed in virtual-
+// waiting rank parks, and its pending retries are replayed in virtual-
 // timestamp order whenever something observes the port (a real RMA arrival)
 // or the lock state (an unlock, or the wake chain below). Timing, attempt
 // counts and acquisition order are identical to the literal protocol; only
@@ -158,9 +159,6 @@ func (pt *rmaPort) reset() {
 // pending reports whether any poll step is registered.
 func (pt *rmaPort) pending() bool { return len(pt.keys) > 0 }
 
-// root returns the earliest pending step's poller.
-func (pt *rmaPort) root() *poller { return pt.items[pt.keys[0].slot] }
-
 // pushPoller registers a new waiter.
 func (pt *rmaPort) pushPoller(pl *poller) {
 	pt.reg++
@@ -248,21 +246,18 @@ func (pt *rmaPort) popRoot() {
 	}
 }
 
-// poller is one parked Win.Lock caller whose retries are simulated
+// poller is one parked lock attempt whose retries are simulated
 // arithmetically. It alternates between two phases: the next attempt
 // *arriving* at the port (inService false, at = arrival time) and the
 // in-flight attempt *completing and checking* the lock word (inService
-// true, at = check time).
+// true, at = check time). Lock issuers are node-local (NewLockCont), so
+// every phase is a local port round.
 type poller struct {
-	win      *Win
-	target   int
-	lockType int
-	proc     *sim.Proc
-	remote   bool
-	// cont, when non-nil, is run at the grant position instead of resuming
-	// proc there (continuation-style locking, see LockCont). The event it
-	// runs in has exactly the (time, scheduling-time) key the literal
-	// winner's resume would have had.
+	win    *Win
+	target int
+	// cont runs at the grant position, in an event with exactly the
+	// (time, scheduling-time) key the literal winner's resume would have
+	// had.
 	cont func()
 
 	inService bool
@@ -272,19 +267,8 @@ type poller struct {
 	// the arrival for a check). Events of equal firing time fire in
 	// scheduling order, so born decides ties between a replayed step and a
 	// real same-instant arrival.
-	born     sim.Time
-	attempts int
-	granted  bool
-	reg      uint32 // registration tie-break, assigned by pushPoller
-}
-
-// canSucceed reports whether the poller's next check would acquire the lock
-// in state ls.
-func (pl *poller) canSucceed(ls *lockState) bool {
-	if pl.lockType == LockExclusive {
-		return !ls.excl && ls.readers == 0
-	}
-	return !ls.excl
+	born sim.Time
+	reg  uint32 // registration tie-break, assigned by pushPoller
 }
 
 // advancePort replays pending virtual poll steps on node's port in
@@ -303,7 +287,6 @@ func (pl *poller) canSucceed(ls *lockState) bool {
 func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advanced bool) {
 	pt := w.memPort[node]
 	mem := &w.cfg.Mem
-	net := &w.cfg.Net
 	for pt.pending() {
 		// Bail out on the root KEY alone — the hot exit skips the poller
 		// indirection entirely.
@@ -315,48 +298,28 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 		advanced = true
 		if !best.inService {
 			// The retry reaches the port: consume serial service exactly as
-			// the literal rmaRound would, then wait for the check moment.
-			svc := mem.LockAttempt
-			if best.remote {
-				svc += net.PortService
-			}
-			done := pt.srv.ServeAsync(best.at, svc)
+			// the literal port round would, then wait for the check moment.
+			done := pt.srv.ServeAsync(best.at, mem.LockAttempt)
 			best.win.LockAttempts++
-			best.attempts++
 			best.inService = true
-			// Mirror the literal Serve bit-for-bit: the waiting process
-			// would have slept (done − now) from now, so its wake-up is
+			// Mirror the literal Serve bit-for-bit: the waiting rank would
+			// have slept (done − now) from now, so its check is at
 			// at + (done − at), which floating point does not guarantee to
-			// equal done. The check event's scheduling time is the Serve
-			// wake-up for a local rank; a remote rank checks after a second
-			// latency sleep scheduled at that wake-up.
-			completion := best.at + (done - best.at)
-			if best.remote {
-				best.born = completion
-				best.at = completion + net.Latency
-			} else {
-				best.born = best.at
-				best.at = completion
-			}
+			// equal done; the check event is scheduled at the arrival.
+			best.born, best.at = best.at, best.at+(done-best.at)
 			pt.fixRootTo(best.at, best.born)
 			continue
 		}
 		// The attempt completes: check the lock word at its own timestamp.
 		ls := &best.win.locks[best.target]
-		if best.canSucceed(ls) {
-			if best.lockType == LockExclusive {
-				ls.excl = true
-			} else {
-				ls.readers++
-			}
+		if !ls.excl {
+			ls.excl = true
 			best.win.LockAcquisitions++
-			best.granted = true
 			pt.popRoot()
 			// Resume the winner at its check time, in the position the
 			// literal check event (scheduled at the attempt's arrival)
 			// would have fired, so everything it schedules next gets the
-			// same relative order as in the literal protocol. Node-local
-			// continuations go to the node's engine (its lane when armed).
+			// same relative order as in the literal protocol.
 			//
 			// Analytic fast-forward: when the grant resolves at exactly the
 			// position of the wake event this replay runs in (incl callers
@@ -364,32 +327,23 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 			// immediately after the wake completes — nothing can interpose
 			// at the same (time, born) key, since on a homogeneous port no
 			// second wake can cover the same position (reconcilePort never
-			// re-arms an identical one). Collect the continuation instead;
-			// the wake runs it after reconciliation, where eng.Now() and
-			// EventScheduledAt() already equal the grant position.
-			if best.cont != nil {
-				if incl && best.at == t && best.born == bornLimit && pt.hom && fastFwd.Load() {
-					w.inlineGrants = append(w.inlineGrants, best.cont)
-				} else {
-					w.engOf(node).ScheduleAsOf(best.at, best.born, best.cont)
-				}
+			// re-arms an identical one). Hold the continuation instead; the
+			// wake runs it after reconciliation, where eng.Now() and
+			// EventScheduledAt() already equal the grant position. A
+			// homogeneous port serves one exclusive lock, so a replay grants
+			// at most once and the slot is free here.
+			if incl && best.at == t && best.born == bornLimit && pt.hom && fastFwd.Load() {
+				w.inlineGrant = best.cont
 			} else {
-				best.proc.UnparkAsOf(best.at, best.born)
+				w.eng.ScheduleAsOf(best.at, best.born, best.cont)
 			}
 			continue
 		}
-		// Failed: back off PollInterval and retry. A local rank's next
-		// arrival is the back-off sleep's wake-up (scheduled at the check);
-		// a remote rank pays a further wire-latency sleep scheduled at that
-		// wake-up before its attempt reaches the port.
+		// Failed: back off PollInterval and retry; the next arrival is the
+		// back-off sleep's wake-up, scheduled at the check.
 		best.inService = false
-		if best.remote {
-			best.born = best.at + mem.PollInterval
-			best.at = best.born + net.Latency
-		} else {
-			best.born = best.at
-			best.at += mem.PollInterval
-		}
+		best.born = best.at
+		best.at += mem.PollInterval
 		pt.fixRootTo(best.at, best.born)
 	}
 	return advanced
@@ -419,7 +373,7 @@ func (w *World) reconcilePort(node int) {
 	// where a grant can actually resolve — needs an engine event.
 	for _, pl := range pt.byReg {
 		ls := &pl.win.locks[pl.target]
-		if !pl.canSucceed(ls) {
+		if ls.excl {
 			continue
 		}
 		if ls.wakeSet && (ls.wakeAt < pl.at || (ls.wakeAt == pl.at && ls.wakeBorn <= pl.born)) {
@@ -482,30 +436,16 @@ func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) 
 			wr.win = nil
 			wr.next = w.wakeFree
 			w.wakeFree = wr
-			advanced := w.advancePort(node, w.engOf(node).Now(), born, true)
+			advanced := w.advancePort(node, w.eng.Now(), born, true)
 			if cleared || advanced {
 				w.reconcilePort(node)
-				// Grants the replay resolved at this event's own position run
-				// here — after reconciliation, exactly where their literal
-				// same-key grant events fired — in replay order, which is the
-				// order those events would have been scheduled. A grant's
-				// continuation can replay other ports or re-arm this one, but
-				// only exclusive (incl=false) replays, so the list is stable.
-				// Only the last grant is in tail position: the earlier ones
-				// (shared locks granted together) must leave their follow-up
-				// events queued so ordering against the remaining grants stays
-				// with the comparator.
-				eng := w.engOf(node)
-				for i := 0; i < len(w.inlineGrants); i++ {
-					g := w.inlineGrants[i]
-					w.inlineGrants[i] = nil
-					if i < len(w.inlineGrants)-1 {
-						eng.WithoutAbsorb(g)
-					} else {
-						g()
-					}
+				// A grant the replay resolved at this event's own position
+				// runs here — after reconciliation, exactly where its literal
+				// same-key grant event fired, in tail position.
+				if g := w.inlineGrant; g != nil {
+					w.inlineGrant = nil
+					g()
 				}
-				w.inlineGrants = w.inlineGrants[:0]
 				return
 			}
 			// A stale link that replayed nothing cannot have created a new
@@ -518,17 +458,8 @@ func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) 
 		w.wakeFree = wr.next
 	}
 	wr.win, wr.target, wr.node, wr.at, wr.born = win, target, node, at, born
-	w.engOf(node).ScheduleAsOf(at, born, wr.fire)
+	w.eng.ScheduleAsOf(at, born, wr.fire)
 }
-
-// Lock types, mirroring MPI_LOCK_EXCLUSIVE / MPI_LOCK_SHARED.
-const (
-	LockExclusive = iota
-	LockShared
-)
-
-// winState is the payload used during collective window creation.
-type winAllocPayload struct{ win *Win }
 
 // newWin builds the window object shared by a collective allocation. The
 // per-rank segments subslice one backing array (and reuse a pooled window's
@@ -570,32 +501,30 @@ func (w *World) pooledWin(size, count int) *Win {
 	return nil
 }
 
-func (c *Comm) allocateWin(r *Rank, name string, count int, shared bool) *Win {
-	if shared && c.spansNodes() != 1 {
-		panic(fmt.Sprintf("mpi: WinAllocateShared on communicator %q spanning %d nodes", c.name, c.spansNodes()))
-	}
+// WinAllocate collectively creates a window with count int64 words per rank.
+func (c *Comm) WinAllocate(r *Rank, name string, count int) *Win {
 	st := c.enter(r, "winalloc")
-	if st.payload == nil {
-		st.payload = winAllocPayload{win: c.newWin(name, count, shared)}
+	if st.win == nil {
+		st.win = c.newWin(name, count, false)
 	}
-	win := st.payload.(winAllocPayload).win
+	win := st.win
 	c.arriveAndWait(r, st, c.latencyCost(2, 0)) // window creation synchronizes
 	c.leave(r, st)
 	return win
 }
 
-// allocateWinCont is allocateWin for goroutine-free ranks: cont receives the
-// window at the event position where the literal caller resumed from the
-// creation barrier.
+// allocateWinCont is the goroutine-free collective window allocation: cont
+// receives the window at the event position where a blocking caller resumed
+// from the creation barrier.
 func (c *Comm) allocateWinCont(r *Rank, name string, count int, shared bool, cont func(*Win)) {
 	if shared && c.spansNodes() != 1 {
-		panic(fmt.Sprintf("mpi: WinAllocateShared on communicator %q spanning %d nodes", c.name, c.spansNodes()))
+		panic(fmt.Sprintf("mpi: WinAllocateSharedCont on communicator %q spanning %d nodes", c.name, c.spansNodes()))
 	}
 	st := c.enter(r, "winalloc")
-	if st.payload == nil {
-		st.payload = winAllocPayload{win: c.newWin(name, count, shared)}
+	if st.win == nil {
+		st.win = c.newWin(name, count, shared)
 	}
-	win := st.payload.(winAllocPayload).win
+	win := st.win
 	c.arriveCont(r, st, c.latencyCost(2, 0), func() {
 		c.leave(r, st)
 		cont(win)
@@ -609,20 +538,11 @@ func (c *Comm) WinAllocateCont(r *Rank, name string, count int, cont func(*Win))
 	c.allocateWinCont(r, name, count, false, cont)
 }
 
-// WinAllocateSharedCont is the goroutine-free WinAllocateShared.
+// WinAllocateSharedCont collectively creates an MPI-3 shared-memory window
+// (MPI_Win_allocate_shared) for machine ranks; the communicator must live
+// on a single node (use SplitTypeShared).
 func (c *Comm) WinAllocateSharedCont(r *Rank, name string, count int, cont func(*Win)) {
 	c.allocateWinCont(r, name, count, true, cont)
-}
-
-// WinAllocate collectively creates a window with count int64 words per rank.
-func (c *Comm) WinAllocate(r *Rank, name string, count int) *Win {
-	return c.allocateWin(r, name, count, false)
-}
-
-// WinAllocateShared collectively creates an MPI-3 shared-memory window; the
-// communicator must live on a single node (use SplitTypeShared).
-func (c *Comm) WinAllocateShared(r *Rank, name string, count int) *Win {
-	return c.allocateWin(r, name, count, true)
 }
 
 // Name returns the window's debug name.
@@ -633,18 +553,13 @@ func (w *Win) Comm() *Comm { return w.comm }
 
 // targetNode returns the node hosting the target comm rank's segment.
 func (w *Win) targetNode(target int) int {
-	return w.world.ranks[w.comm.ranks[target]].node
+	return w.world.ranks[w.comm.base+target].node
 }
 
-// rmaRound performs one RMA operation round from r to the target's host
-// port: wire latency both ways when the target is remote, and serial
-// service at the port either way. It returns after the op completed.
-func (w *Win) rmaRound(r *Rank, target int, service sim.Time) {
-	w.rmaRoundFrom(r.proc, r.node, target, service)
-}
-
-// rmaRoundFrom is rmaRound for an arbitrary simulated process (e.g. an
-// OpenMP thread making MPI calls under MPI_THREAD_MULTIPLE).
+// rmaRoundFrom performs one RMA operation round from process p on fromNode
+// to the target's host port: wire latency both ways when the target is
+// remote, and serial service at the port either way. It returns after the
+// op completed.
 func (w *Win) rmaRoundFrom(p *sim.Proc, fromNode, target int, service sim.Time) {
 	wld := w.world
 	tn := w.targetNode(target)
@@ -665,6 +580,13 @@ func (w *Win) rmaRoundFrom(p *sim.Proc, fromNode, target int, service sim.Time) 
 	p.Sleep(net.Latency)
 }
 
+// FetchAndOp atomically adds delta to the word at (target, offset) and
+// returns its previous value — MPI_Fetch_and_op with MPI_SUM. With delta 0
+// it is an atomic read (MPI_NO_OP). r must be a process rank (World.Run).
+func (w *Win) FetchAndOp(r *Rank, target, offset int, delta int64) int64 {
+	return w.FetchAndOpFrom(r.proc, r.node, target, offset, delta)
+}
+
 // FetchAndOpFrom is FetchAndOp issued from an arbitrary simulated process
 // pinned to fromNode. It models threads calling MPI under
 // MPI_THREAD_MULTIPLE (used by the nowait extension executor).
@@ -676,154 +598,16 @@ func (w *Win) FetchAndOpFrom(p *sim.Proc, fromNode, target, offset int, delta in
 	return old
 }
 
-// Lock acquires the window lock on target for r, with MPI semantics of
-// MPI_Win_lock: exclusive locks conflict with everything, shared locks only
-// with exclusive ones. It returns the number of attempts that were needed;
-// the first attempt can succeed, so the minimum is 1.
-func (w *Win) Lock(r *Rank, target int, lockType int) int {
-	mem := &w.world.cfg.Mem
-	// First attempt is taken literally: under no contention it succeeds and
-	// costs exactly one RMA round, as in the original protocol.
-	w.LockAttempts++
-	w.rmaRound(r, target, mem.LockAttempt)
-	ls := &w.locks[target]
-	if lockType == LockExclusive {
-		if !ls.excl && ls.readers == 0 {
-			ls.excl = true
-			w.LockAcquisitions++
-			return 1
-		}
-	} else {
-		if !ls.excl {
-			ls.readers++
-			w.LockAcquisitions++
-			return 1
-		}
-	}
-	// Contended: hand the retry loop to the port's coalesced poller
-	// machinery and park. Every virtual retry still pays the same port
-	// service and PollInterval back-off as the literal loop; it is merely
-	// replayed lazily. The process resumes exactly at the virtual time its
-	// winning attempt's check would have completed.
-	tn := w.targetNode(target)
-	remote := tn != r.node
-	born := r.Now()
-	next := born + mem.PollInterval
-	if remote {
-		// The literal remote retry sleeps PollInterval, then a wire
-		// latency scheduled at that wake-up; the arrival event's
-		// scheduling time is the back-off expiry.
-		born = next
-		next += w.world.cfg.Net.Latency
-	}
-	pl := r.pooledPoller()
-	*pl = poller{
-		win: w, target: target, lockType: lockType,
-		proc: r.proc, remote: remote,
-		at: next, born: born, attempts: 1,
-	}
-	pt := w.world.memPort[tn]
-	pt.pushPoller(pl)
-	r.proc.Park()
-	if !pl.granted {
-		panic(fmt.Sprintf("mpi: lock poller on %s[%d] resumed without grant", w.name, target))
-	}
-	return pl.attempts
-}
-
-// Unlock releases r's lock on target. The release is itself an RMA round
-// (it flushes pending operations), so it competes with poll attempts.
-func (w *Win) Unlock(r *Rank, target int, lockType int) {
-	w.locks[target].relsInFlight++
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp)
-	tn := w.targetNode(target)
-	// Resolve every poll decision up to the release instant against the
-	// still-held state: retries whose check lands before the release (in
-	// (time, scheduling-order) event order) must fail, exactly as they
-	// would have in the literal protocol.
-	if w.world.memPort[tn].pending() {
-		w.world.advancePort(tn, r.proc.Now(), w.world.eng.EventScheduledAt(), false)
-	}
-	ls := &w.locks[target]
-	if lockType == LockExclusive {
-		if !ls.excl {
-			panic(fmt.Sprintf("mpi: exclusive Unlock of unheld lock on %s[%d]", w.name, target))
-		}
-		ls.excl = false
-	} else {
-		if ls.readers <= 0 {
-			panic(fmt.Sprintf("mpi: shared Unlock of unheld lock on %s[%d]", w.name, target))
-		}
-		ls.readers--
-	}
-	ls.relsInFlight--
-	// The lock may now be acquirable: arm the wake chain so the next poll
-	// decision fires at its exact virtual time.
-	w.world.reconcilePort(tn)
-}
-
-// UnlockAsOf is Unlock for a caller that is still at an earlier instant of
-// its critical section: arrival names the virtual time the unlock's RMA
-// round reaches the port and born the scheduling position of the literal
-// pre-arrival wake-up (the last sleep of the caller's critical-section
-// chain). The caller parks; the arrival half (pre-release poll replay plus
-// port service) runs in an event at the exact position the literal caller
-// occupied, and the caller resumes precisely at the service completion —
-// where the literal Serve wake-up fired — to apply the release. Every
-// externally visible action (poll replay, port-queue arrival, lock-word
-// mutation, wake-chain arming) happens at its literal (time, position), so
-// runs are byte-identical to Sync/Sleep/Unlock chains; only the caller's
-// intermediate wake-ups disappear. Shared (node-local) windows only.
-func (w *Win) UnlockAsOf(r *Rank, target, lockType int, arrival, born sim.Time) {
-	wld := w.world
-	tn := w.targetNode(target)
-	if tn != r.node {
-		panic(fmt.Sprintf("mpi: UnlockAsOf on %s[%d] from another node", w.name, target))
-	}
-	pt := wld.memPort[tn]
-	eng := wld.eng
-	w.locks[target].relsInFlight++
-	eng.ScheduleAsOf(arrival, born, func() {
-		if pt.pending() {
-			wld.advancePort(tn, arrival, eng.EventScheduledAt(), false)
-		}
-		done := pt.srv.ServeAsync(arrival, wld.cfg.Mem.SharedWinOp)
-		// Mirror Serve's wake arithmetic bit for bit (see advancePort).
-		r.proc.UnparkAsOf(arrival+(done-arrival), arrival)
-	})
-	r.proc.Park()
-	// The release half runs in the wake event, exactly as the literal
-	// Unlock continuation did after its Serve returned.
-	if pt.pending() {
-		wld.advancePort(tn, r.proc.Now(), eng.EventScheduledAt(), false)
-	}
-	ls := &w.locks[target]
-	if lockType == LockExclusive {
-		if !ls.excl {
-			panic(fmt.Sprintf("mpi: exclusive Unlock of unheld lock on %s[%d]", w.name, target))
-		}
-		ls.excl = false
-	} else {
-		if ls.readers <= 0 {
-			panic(fmt.Sprintf("mpi: shared Unlock of unheld lock on %s[%d]", w.name, target))
-		}
-		ls.readers--
-	}
-	ls.relsInFlight--
-	wld.reconcilePort(tn)
-}
-
-// NewLockCont returns a reusable continuation-style Lock issuer for a
-// node-local window. Calling the issuer performs the literal first
-// attempt's arrival (poll replay plus port service reservation) at the
-// current instant and arranges for cont to run, holding the lock, in an
-// event at the position of the literal check — where Lock's caller would
-// have resumed. Under contention the retry loop runs through the same
-// coalesced poller machinery and cont fires at the exact grant position.
-// The caller must park (or otherwise yield) after each issue; the issuer
-// and its closures are allocated once, so steady-state issues are
-// allocation-free.
-func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
+// NewLockCont returns a reusable continuation-style MPI_Win_lock issuer
+// (exclusive mode) for a node-local window. Calling the issuer performs the
+// literal first attempt's arrival (poll replay plus port service
+// reservation) at the current instant and arranges for cont to run, holding
+// the lock, in an event at the position of the literal check — where a
+// blocking caller would have resumed. Under contention the retry loop runs
+// through the coalesced poller machinery and cont fires at the exact grant
+// position. The caller must yield after each issue; the issuer and its
+// closures are allocated once, so steady-state issues are allocation-free.
+func (w *Win) NewLockCont(r *Rank, target int, cont func()) func() {
 	wld := w.world
 	tn := w.targetNode(target)
 	if tn != r.node {
@@ -831,34 +615,21 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 	}
 	mem := &wld.cfg.Mem
 	pt := wld.memPort[tn]
-	eng := wld.engOf(tn)
+	eng := wld.eng
 	check := func() {
 		pt.checksInFlight--
 		ls := &w.locks[target]
-		if lockType == LockExclusive {
-			if !ls.excl && ls.readers == 0 {
-				ls.excl = true
-				w.LockAcquisitions++
-				cont()
-				return
-			}
-		} else {
-			if !ls.excl {
-				ls.readers++
-				w.LockAcquisitions++
-				cont()
-				return
-			}
+		if !ls.excl {
+			ls.excl = true
+			w.LockAcquisitions++
+			cont()
+			return
 		}
 		// Contended: park on the coalesced poller machinery, exactly as the
 		// literal loop registered itself after its first failed check.
 		born := eng.Now()
 		pl := r.pooledPoller()
-		*pl = poller{
-			win: w, target: target, lockType: lockType,
-			proc: r.proc, cont: cont,
-			at: born + mem.PollInterval, born: born, attempts: 1,
-		}
+		*pl = poller{win: w, target: target, cont: cont, at: born + mem.PollInterval, born: born}
 		pt.pushPoller(pl)
 	}
 	return func() {
@@ -876,17 +647,12 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 			// must arrive at this port and its service queues behind the
 			// attempt just reserved, so the lock word cannot improve before
 			// chk. Park directly in the state the literal failed check would
-			// have left (born = check time, next arrival one back-off later,
-			// one attempt consumed) and skip the check event entirely.
+			// have left (born = check time, next arrival one back-off later)
+			// and skip the check event entirely.
 			ls := &w.locks[target]
-			if ls.relsInFlight == 0 && pt.checksInFlight == 0 &&
-				(ls.excl || (lockType == LockExclusive && ls.readers > 0)) {
+			if ls.relsInFlight == 0 && pt.checksInFlight == 0 && ls.excl {
 				pl := r.pooledPoller()
-				*pl = poller{
-					win: w, target: target, lockType: lockType,
-					proc: r.proc, cont: cont,
-					at: chk + mem.PollInterval, born: chk, attempts: 1,
-				}
+				*pl = poller{win: w, target: target, cont: cont, at: chk + mem.PollInterval, born: chk}
 				pt.pushPoller(pl)
 				return
 			}
@@ -900,34 +666,28 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 // issue(arrival, born) runs the unlock's arrival half (poll replay, port
 // service) in an event at the literal pre-arrival wake position, the
 // release half at the literal service completion, and cont(release) inline
-// right after the release — exactly where the literal Unlock caller
+// right after the release — exactly where a blocking MPI_Win_unlock caller
 // resumed — so everything cont schedules gets the same relative order. At
-// most one unlock may be in flight per issuer; the caller parks meanwhile.
-func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim.Time)) func(arrival, born sim.Time) {
+// most one unlock may be in flight per issuer; the caller yields meanwhile.
+// Releasing a lock that is not held panics.
+func (w *Win) NewUnlockCont(r *Rank, target int, cont func(release sim.Time)) func(arrival, born sim.Time) {
 	wld := w.world
 	tn := w.targetNode(target)
 	if tn != r.node {
 		panic(fmt.Sprintf("mpi: NewUnlockCont on %s[%d] from another node", w.name, target))
 	}
 	pt := wld.memPort[tn]
-	eng := wld.engOf(tn)
+	eng := wld.eng
 	var arrival, release sim.Time
 	releaseFn := func() {
 		if pt.pending() {
 			wld.advancePort(tn, release, eng.EventScheduledAt(), false)
 		}
 		ls := &w.locks[target]
-		if lockType == LockExclusive {
-			if !ls.excl {
-				panic(fmt.Sprintf("mpi: exclusive Unlock of unheld lock on %s[%d]", w.name, target))
-			}
-			ls.excl = false
-		} else {
-			if ls.readers <= 0 {
-				panic(fmt.Sprintf("mpi: shared Unlock of unheld lock on %s[%d]", w.name, target))
-			}
-			ls.readers--
+		if !ls.excl {
+			panic(fmt.Sprintf("mpi: unlock of unheld lock on %s[%d]", w.name, target))
 		}
+		ls.excl = false
 		ls.relsInFlight--
 		wld.reconcilePort(tn)
 		cont(release)
@@ -949,7 +709,7 @@ func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim
 
 // NewFetchAndOpCont returns a reusable event-driven MPI_Fetch_and_op issuer
 // on w for rank r: issue(target, offset, delta, cont) performs the literal
-// rmaRound — wire latency both ways when the target is remote, poll replay
+// RMA round — wire latency both ways when the target is remote, poll replay
 // and serial service at the target port either way — entirely in engine
 // events at the exact (time, scheduling-time) positions the blocking
 // FetchAndOp's sleeps occupied, then applies the read-modify-write and runs
@@ -961,21 +721,12 @@ func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim
 // EventScheduledAt as the literal call site.
 func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, cont func(old int64)) {
 	wld := w.world
-	// Under fast-forward lanes the issuer spans two engines: the issue, the
-	// final latency hop and cont run on the requester's engine (its node's
-	// lane), while the target port's arrival and service run on the engine
-	// owning the target node — the main engine for the globally shared
-	// window on node 0 — so port service order stays the global virtual-time
-	// order. Cross-engine schedules always land in the receiving engine's
-	// future (see World.LaunchLanes). Without lanes both are wld.eng and the
-	// event stream is unchanged.
-	engR := wld.engOf(r.node)
+	eng := wld.eng
 	net := &wld.cfg.Net
 	var (
 		target, offset int
 		delta          int64
 		cont           func(int64)
-		engT           *sim.Engine
 	)
 	finish := func() {
 		old := w.data[target][offset]
@@ -983,124 +734,49 @@ func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, c
 		cont(old)
 	}
 	servedRemote := func() {
-		now := engT.Now()
-		engR.AbsorbAsOf(now+net.Latency, now, finish)
+		now := eng.Now()
+		eng.AbsorbAsOf(now+net.Latency, now, finish)
 	}
 	arriveRemote := func() {
 		tn := w.targetNode(target)
 		pt := wld.memPort[tn]
 		if pt.pending() {
-			wld.advancePort(tn, engT.Now(), engT.EventScheduledAt(), false)
+			wld.advancePort(tn, eng.Now(), eng.EventScheduledAt(), false)
 		}
-		now := engT.Now()
+		now := eng.Now()
 		done := pt.srv.ServeAsync(now, wld.cfg.Mem.SharedWinOp+net.PortService)
-		engT.AbsorbAsOf(now+(done-now), now, servedRemote)
+		eng.AbsorbAsOf(now+(done-now), now, servedRemote)
 	}
 	return func(t, off int, d int64, c func(int64)) {
 		target, offset, delta, cont = t, off, d, c
 		w.AtomicOps++
 		tn := w.targetNode(target)
-		now := engR.Now()
+		now := eng.Now()
 		if tn != r.node {
-			engT = wld.engOf(tn)
-			engT.AbsorbAsOf(now+net.Latency, now, arriveRemote)
+			eng.AbsorbAsOf(now+net.Latency, now, arriveRemote)
 			return
 		}
 		pt := wld.memPort[tn]
 		if pt.pending() {
-			wld.advancePort(tn, now, engR.EventScheduledAt(), false)
+			wld.advancePort(tn, now, eng.EventScheduledAt(), false)
 		}
 		done := pt.srv.ServeAsync(now, wld.cfg.Mem.SharedWinOp)
-		engR.AbsorbAsOf(now+(done-now), now, finish)
+		eng.AbsorbAsOf(now+(done-now), now, finish)
 	}
-}
-
-// FetchAndOp atomically adds delta to the word at (target, offset) and
-// returns its previous value — MPI_Fetch_and_op with MPI_SUM. With delta 0
-// it is an atomic read (MPI_NO_OP).
-func (w *Win) FetchAndOp(r *Rank, target, offset int, delta int64) int64 {
-	w.AtomicOps++
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp)
-	old := w.data[target][offset]
-	w.data[target][offset] = old + delta
-	return old
-}
-
-// CompareAndSwap atomically replaces the word at (target, offset) with
-// replace if it equals compare, returning the previous value.
-func (w *Win) CompareAndSwap(r *Rank, target, offset int, compare, replace int64) int64 {
-	w.AtomicOps++
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp)
-	old := w.data[target][offset]
-	if old == compare {
-		w.data[target][offset] = replace
-	}
-	return old
-}
-
-// Get copies n words starting at (target, offset) into a fresh slice.
-func (w *Win) Get(r *Rank, target, offset, n int) []int64 {
-	bytes := float64(8 * n)
-	var bw float64
-	if w.targetNode(target) == r.node {
-		bw = w.world.cfg.Mem.CopyBandwidth
-	} else {
-		bw = w.world.cfg.Net.Bandwidth
-	}
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp+sim.Time(bytes/bw))
-	out := make([]int64, n)
-	copy(out, w.data[target][offset:offset+n])
-	return out
-}
-
-// Put copies vals into the target segment starting at offset.
-func (w *Win) Put(r *Rank, target, offset int, vals []int64) {
-	bytes := float64(8 * len(vals))
-	var bw float64
-	if w.targetNode(target) == r.node {
-		bw = w.world.cfg.Mem.CopyBandwidth
-	} else {
-		bw = w.world.cfg.Net.Bandwidth
-	}
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp+sim.Time(bytes/bw))
-	copy(w.data[target][offset:], vals)
-}
-
-// Sync models MPI_Win_sync: the memory-barrier cost that shared-window
-// algorithms pay to publish or observe direct stores.
-func (w *Win) Sync(r *Rank) {
-	r.proc.Sleep(w.world.cfg.Mem.WinSync)
 }
 
 // Shared returns the target segment of a shared window for direct
-// load/store access, validating locality once. Hot executor loops index it
-// instead of paying the per-access checks of SharedRead/SharedWrite; the
-// visibility discipline (Sync, or a lock held across the accesses) remains
-// the caller's responsibility, as in MPI-3.
+// load/store access (MPI_Win_shared_query). Only legal on shared windows
+// for ranks on the hosting node; locality is validated once, so hot
+// executor loops index the slice directly. The visibility discipline (a
+// lock held across the accesses, with MPI_Win_sync costs charged by the
+// caller) remains the caller's responsibility, as in MPI-3.
 func (w *Win) Shared(r *Rank, target int) []int64 {
-	w.checkShared(r, target)
-	return w.data[target]
-}
-
-// SharedRead performs a direct load from a shared window. Only legal on
-// shared windows for ranks on the hosting node; visibility discipline
-// (Sync) is the caller's responsibility, as in MPI-3.
-func (w *Win) SharedRead(r *Rank, target, offset int) int64 {
-	w.checkShared(r, target)
-	return w.data[target][offset]
-}
-
-// SharedWrite performs a direct store into a shared window.
-func (w *Win) SharedWrite(r *Rank, target, offset int, val int64) {
-	w.checkShared(r, target)
-	w.data[target][offset] = val
-}
-
-func (w *Win) checkShared(r *Rank, target int) {
 	if !w.shared {
 		panic(fmt.Sprintf("mpi: direct access to non-shared window %s", w.name))
 	}
 	if w.targetNode(target) != r.node {
 		panic(fmt.Sprintf("mpi: direct access to %s[%d] from another node", w.name, target))
 	}
+	return w.data[target]
 }

@@ -73,13 +73,20 @@ func (c Config) Enabled() bool {
 	return false
 }
 
-// Validate checks the scenario parameters.
+// Validate checks the scenario parameters. Every value must be finite:
+// NaN slips through ordinary range checks.
 func (c Config) Validate() error {
-	if c.NoiseCV < 0 {
-		return errors.New("perturb: NoiseCV must be non-negative")
+	if !finite(c.NoiseCV) || c.NoiseCV < 0 {
+		return fmt.Errorf("perturb: NoiseCV = %v, must be non-negative and finite", c.NoiseCV)
 	}
-	if c.SlowdownRate < 0 {
-		return errors.New("perturb: SlowdownRate must be non-negative")
+	if !finite(c.SlowdownRate) || c.SlowdownRate < 0 {
+		return fmt.Errorf("perturb: SlowdownRate = %v, must be non-negative and finite", c.SlowdownRate)
+	}
+	if !finite(c.SlowdownFactor) {
+		return fmt.Errorf("perturb: SlowdownFactor = %v, must be finite", c.SlowdownFactor)
+	}
+	if !finite(float64(c.SlowdownDuration)) {
+		return fmt.Errorf("perturb: SlowdownDuration = %v, must be finite", c.SlowdownDuration)
 	}
 	if c.SlowdownRate > 0 {
 		if c.SlowdownFactor <= 1 {
@@ -90,12 +97,14 @@ func (c Config) Validate() error {
 		}
 	}
 	for i, l := range c.BackgroundLoad {
-		if l < 0 || l >= 1 {
+		if !(l >= 0 && l < 1) {
 			return fmt.Errorf("perturb: BackgroundLoad[%d] = %g out of [0, 1)", i, l)
 		}
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // interval is one transient slowdown window [start, end).
 type interval struct {

@@ -2,6 +2,7 @@ package perturb
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -20,6 +21,25 @@ func TestConfigValidate(t *testing.T) {
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, c)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	nonFinite := []struct {
+		c    Config
+		want string
+	}{
+		{Config{NoiseCV: nan}, "NoiseCV"},
+		{Config{NoiseCV: inf}, "NoiseCV"},
+		{Config{SlowdownRate: nan}, "SlowdownRate"},
+		{Config{SlowdownRate: inf, SlowdownFactor: 2, SlowdownDuration: 1}, "SlowdownRate"},
+		{Config{SlowdownRate: 1, SlowdownFactor: inf, SlowdownDuration: 1}, "SlowdownFactor"},
+		{Config{SlowdownRate: 1, SlowdownFactor: 2, SlowdownDuration: sim.Time(nan)}, "SlowdownDuration"},
+		{Config{BackgroundLoad: []float64{0.1, nan}}, "BackgroundLoad[1]"},
+	}
+	for _, tc := range nonFinite {
+		err := tc.c.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", tc.c, err, tc.want)
 		}
 	}
 	good := []Config{

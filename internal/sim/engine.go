@@ -90,12 +90,7 @@ func eventLess(a, b *event) bool {
 type Engine struct {
 	now Time
 	seq uint32
-	// seqSrc, when non-nil, points at the sequence counter of the engine
-	// group this engine is merged into (see ShareSeq).
-	seqSrc *uint32
-	// pushes counts queue insertions. Merged drive loops compare it against
-	// a cached value to skip re-reading the head key of an engine whose
-	// queue nobody touched (see PushStamp).
+	// pushes counts queue insertions (see PushStamp).
 	pushes uint32
 	// heap holds the queued events in one of two layouts: while at most
 	// arrayModeMax entries (arrayMode), a descending-sorted gap buffer —
@@ -136,8 +131,8 @@ type Engine struct {
 	curBorn Time
 
 	// absorbDepth is the current nesting depth of inline event absorption
-	// (see AbsorbAsOf); absorbOff suppresses absorption entirely (merged
-	// engine groups, literal A/B runs).
+	// (see AbsorbAsOf); absorbOff suppresses absorption entirely (the
+	// literal A/B runs).
 	absorbDepth int
 	absorbOff   bool
 
@@ -179,47 +174,20 @@ func (e *Engine) Now() Time { return e.now }
 
 // nextSeq returns the next event sequence number. seq is 32-bit (see event);
 // a single run issuing more than 4.29 billion events would wrap it and
-// corrupt same-instant tie-breaks, so wrap-around panics instead. Engines
-// driven as a merged group (ShareSeq) draw from the group leader's counter
-// so sequence numbers order events across all member engines exactly as a
-// single shared engine would have.
+// corrupt same-instant tie-breaks, so wrap-around panics instead.
 func (e *Engine) nextSeq() uint32 {
-	c := &e.seq
-	if e.seqSrc != nil {
-		c = e.seqSrc
-	}
-	*c++
-	if *c == 0 {
+	e.seq++
+	if e.seq == 0 {
 		panic("sim: event sequence counter overflow")
-	}
-	return *c
-}
-
-// ShareSeq makes e draw event sequence numbers from src's counter instead
-// of its own. Merged drive loops (mpi.World.LaunchLanes) use it so that a
-// (t, born, seq) comparison across member engines reproduces the exact
-// firing order one shared engine would have used: scheduling order — which
-// seq records — is then a property of the group, not the member. Reset
-// reverts e to its own counter.
-func (e *Engine) ShareSeq(src *Engine) { e.seqSrc = &src.seq }
-
-// PushStamp reports a counter of queue insertions into e. A merged drive
-// loop caches it alongside the head key: while the stamp is unchanged and
-// the engine has not been stepped, the cached key is still current.
-func (e *Engine) PushStamp() uint32 { return e.pushes }
-
-// GroupSeq reports the current value of the engine's sequence counter —
-// the group leader's when ShareSeq is in effect. Because every schedule
-// call on any group member advances it by exactly one, a merged drive loop
-// stepping a single engine can detect cross-engine scheduling in O(1):
-// the step pushed onto another member iff the group counter advanced more
-// than the stepped engine's own PushStamp.
-func (e *Engine) GroupSeq() uint32 {
-	if e.seqSrc != nil {
-		return *e.seqSrc
 	}
 	return e.seq
 }
+
+// PushStamp reports how many events have been inserted into the queue since
+// the engine was created or Reset. The count is deterministic per
+// configuration, so it serves as the fast-forward event census (events
+// absorbed inline never reach the queue).
+func (e *Engine) PushStamp() uint32 { return e.pushes }
 
 // Rand exposes the engine's deterministic random source. It must only be
 // used from simulated processes or event callbacks.
@@ -502,8 +470,7 @@ func (e *Engine) headAfter(t, born Time) bool {
 // Caller contract: the call must be in tail position of the current event —
 // nothing with observable effect may run after AbsorbAsOf returns — because
 // fn (and transitively the chain it absorbs) executes before the caller's
-// remaining statements. Callers firing several deferred continuations in a
-// row must suppress absorption for all but the last (see WithoutAbsorb).
+// remaining statements.
 func (e *Engine) AbsorbAsOf(t, born Time, fn func()) {
 	if t < e.now {
 		t = e.now
@@ -531,26 +498,9 @@ func (e *Engine) AbsorbAsOf(t, born Time, fn func()) {
 	e.absorbDepth--
 }
 
-// WithoutAbsorb runs f with inline absorption suppressed: every AbsorbAsOf
-// call inside f degrades to ScheduleAsOf. Callers that fire several
-// collected same-key continuations in a row use it for all but the last —
-// only the last is in tail position, and the earlier ones must leave their
-// follow-up events queued so the ordering against the remaining
-// continuations is decided by the comparator, not by call order.
-func (e *Engine) WithoutAbsorb(f func()) {
-	if e.absorbOff {
-		f()
-		return
-	}
-	e.absorbOff = true
-	f()
-	e.absorbOff = false
-}
-
 // SetAbsorb enables or disables inline absorption. Disabling forces every
-// AbsorbAsOf through the queue — required for engines driven as a merged
-// group (a member's queue head says nothing about the group's next event)
-// and used by the literal A/B runs of the fast-forward differential tests.
+// AbsorbAsOf through the queue; the literal A/B runs of the fast-forward
+// differential tests use it.
 func (e *Engine) SetAbsorb(on bool) { e.absorbOff = !on }
 
 // EventScheduledAt reports the virtual time at which the currently
@@ -634,63 +584,6 @@ func (e *Engine) dispatch() {
 	e.main <- struct{}{}
 }
 
-// Step fires the single earliest pending event and reports whether one was
-// pending. It is the fast-forward hook beneath World-level merged drive
-// loops: a caller that owns several engines (a main engine plus node-local
-// fast-forward lanes) interleaves them one event at a time instead of
-// handing the baton to Run. Step is only legal on engines whose queued
-// events are all generic callbacks — machine-rank simulations that spawn no
-// processes — because there is no baton holder to hand a process resume to;
-// hitting a process-resume event panics. Clock, curBorn and payload
-// recycling behave exactly as in dispatch, so the observable event order is
-// the same total (t, born, seq) order Run would have produced.
-func (e *Engine) Step() bool {
-	if !e.pending() {
-		return false
-	}
-	ev := e.pop()
-	pay := e.pays[ev.pay]
-	e.pays[ev.pay] = payload{}
-	e.free = append(e.free, ev.pay)
-	if ev.t > e.now {
-		e.now = ev.t
-	}
-	e.curBorn = ev.born
-	if pay.p != nil {
-		panic("sim: Step on an engine with process-resume events")
-	}
-	pay.fn()
-	return true
-}
-
-// NextKey reports the earliest pending event's full (firing time,
-// scheduling time, schedule sequence) ordering key. Merged drive loops over
-// a ShareSeq engine group compare the heads of all member engines and fire
-// the smallest key: because the group draws sequence numbers from one
-// counter, that comparison reproduces the exact total order a single
-// shared engine would have used. A cross-engine schedule always lands at or
-// after the issuing event's own key, so the engine with the smallest head
-// is always safe to step.
-func (e *Engine) NextKey() (t, born Time, seq uint32, ok bool) {
-	if e.nextSet {
-		return e.nextEv.t, e.nextEv.born, e.nextEv.seq, true
-	}
-	if len(e.heap) > e.lo {
-		ev := e.peekMin()
-		return ev.t, ev.born, ev.seq, true
-	}
-	return 0, 0, 0, false
-}
-
-// Pending reports whether any event is queued (fast-forward drive loops use
-// it to decide termination).
-func (e *Engine) Pending() bool { return e.pending() }
-
-// Interrupted polls the installed interrupt flag (nil-safe). Drive loops
-// built on Step/Drain poll it themselves, since they bypass dispatch's
-// stride polling.
-func (e *Engine) Interrupted() bool { return e.interrupt != nil && e.interrupt.Load() }
-
 // DeadlockError reports that the simulation stopped with live processes but
 // no pending events: every remaining process is parked forever.
 type DeadlockError struct {
@@ -771,7 +664,6 @@ func (e *Engine) Reset(seed int64) {
 	}
 	e.now = 0
 	e.seq = 0
-	e.seqSrc = nil
 	e.pushes = 0
 	e.curBorn = 0
 	e.absorbDepth = 0
