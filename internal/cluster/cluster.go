@@ -17,9 +17,6 @@ import (
 type NetParams struct {
 	// Latency is the one-way MPI-level latency of a small message.
 	Latency sim.Time
-	// Bandwidth is the link bandwidth in bytes per second (the bandwidth
-	// term of multi-node collectives).
-	Bandwidth float64
 	// PortService is the extra service time a remote RMA operation costs at
 	// the target node's port, and the per-hop cost of a multi-node
 	// collective on top of Latency. A passive-target RMA atomic on a remote
@@ -44,9 +41,6 @@ type MemParams struct {
 	PollInterval sim.Time
 	// WinSync is the cost of MPI_Win_sync (memory barrier) on a shared window.
 	WinSync sim.Time
-	// CopyBandwidth is intra-node memcpy bandwidth in bytes per second (the
-	// bandwidth term of node-local collectives).
-	CopyBandwidth float64
 }
 
 // Perturber injects time-dependent execution-time perturbations (transient
@@ -113,9 +107,6 @@ func (c *Config) Validate() error {
 	}
 	if !(c.NoiseCV >= 0) || math.IsInf(c.NoiseCV, 1) {
 		return fmt.Errorf("cluster: NoiseCV = %v, must be non-negative and finite", c.NoiseCV)
-	}
-	if c.Net.Bandwidth <= 0 || c.Mem.CopyBandwidth <= 0 {
-		return errors.New("cluster: bandwidths must be positive")
 	}
 	if c.Net.Latency < 0 || c.Mem.PollInterval <= 0 {
 		return errors.New("cluster: latency must be >= 0 and poll interval > 0")
@@ -237,16 +228,14 @@ func MiniHPC(nodes int) Config {
 		CoresPerNode: 16,
 		Net: NetParams{
 			Latency:     1.2 * sim.Microsecond,
-			Bandwidth:   12.5e9, // 100 Gbit/s
 			PortService: 0.25 * sim.Microsecond,
 		},
 		Mem: MemParams{
-			LocalAtomic:   0.06 * sim.Microsecond,
-			SharedWinOp:   0.4 * sim.Microsecond,
-			LockAttempt:   1.2 * sim.Microsecond,
-			PollInterval:  6 * sim.Microsecond,
-			WinSync:       0.25 * sim.Microsecond,
-			CopyBandwidth: 8e9,
+			LocalAtomic:  0.06 * sim.Microsecond,
+			SharedWinOp:  0.4 * sim.Microsecond,
+			LockAttempt:  1.2 * sim.Microsecond,
+			PollInterval: 6 * sim.Microsecond,
+			WinSync:      0.25 * sim.Microsecond,
 		},
 	}
 }
@@ -268,7 +257,6 @@ func MiniHPCKNL(nodes int) Config {
 	c.Mem.LocalAtomic *= 2
 	c.Mem.SharedWinOp *= 2
 	c.Mem.LockAttempt *= 2
-	c.Mem.CopyBandwidth = 6e9
 	return c
 }
 

@@ -30,7 +30,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"speed length", func(c *Config) { c.NodeSpeed = []float64{1, 1} }, "NodeSpeed"},
 		{"zero speed", func(c *Config) { c.NodeSpeed = []float64{1, 0, 1, 1} }, "positive"},
 		{"negative noise", func(c *Config) { c.NoiseCV = -0.1 }, "NoiseCV"},
-		{"zero bandwidth", func(c *Config) { c.Net.Bandwidth = 0 }, "bandwidth"},
 		{"zero poll", func(c *Config) { c.Mem.PollInterval = 0 }, "poll"},
 		{"nan speed", func(c *Config) { c.NodeSpeed = []float64{1, math.NaN(), 1, 1} }, "NodeSpeed[1]"},
 		{"inf speed", func(c *Config) { c.NodeSpeed = []float64{1, 1, 1, math.Inf(1)} }, "NodeSpeed[3]"},

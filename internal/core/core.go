@@ -22,6 +22,13 @@
 // A third executor, MPIOpenMPNoWait, implements the paper's future-work
 // idea: OpenMP threads pipeline across chunk boundaries with the fastest
 // thread fetching new chunks under MPI_THREAD_MULTIPLE.
+//
+// All three executors are written in one execution model: every MPI rank
+// and OpenMP thread is a continuation machine on the cell's sim.Engine,
+// started by mpi.World.Launch, whose steps run as engine events at the
+// (time, scheduling-time) positions a blocking implementation's wake-ups
+// would occupy. A cell runs on its caller's goroutine, and Launch's stall
+// check catches a rank that never finishes.
 package core
 
 import (
@@ -348,7 +355,7 @@ const intraCacheCap = 1 << 14
 // harnessPool holds retired cell arenas: harness scratch plus the engine and
 // MPI world attached to it. Sweep workers draw from it so a thousand-cell
 // sweep reuses a handful of arenas instead of rebuilding the simulated
-// machine — and spawning its goroutines — per cell (DESIGN.md §8).
+// machine per cell (DESIGN.md §8).
 var harnessPool sync.Pool
 
 // Arena-pool telemetry: how many cells drew a recycled arena versus built a
@@ -424,9 +431,9 @@ func newHarness(c *Config) *harness {
 }
 
 // release returns a cleanly finished harness to the arena pool. Callers must
-// not release after an executor error: a failed run can leave live processes
+// not release after an executor error: a failed run can leave stalled ranks
 // or queued events behind, and such an arena is abandoned to the GC instead
-// (Engine.Reset would refuse it anyway).
+// (Engine.Reset refuses an engine with queued events).
 func (h *harness) release() {
 	h.cfg = nil
 	h.prof = nil

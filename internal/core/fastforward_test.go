@@ -85,7 +85,7 @@ func fuzzConfig(rng *rand.Rand, inter dls.Technique) Config {
 		CollectTrace:   true,
 	}
 	if rng.Intn(4) == 0 {
-		cfg.Approach = MPIOpenMP
+		cfg.Approach = []Approach{MPIOpenMP, MPIOpenMPNoWait}[rng.Intn(2)]
 		cfg.ExtendedRuntime = true // admit the TSS/FAC2 clauses too
 		omp := []dls.Technique{dls.STATIC, dls.SS, dls.GSS, dls.TSS, dls.FAC2}
 		cfg.Intra = omp[rng.Intn(len(omp))]

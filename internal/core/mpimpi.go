@@ -32,14 +32,54 @@ const (
 	entOrig
 )
 
+// newGlobalFetch returns rank r's issuer for one global-queue request, the
+// distributed chunk calculation every executor shares: a Fetch_and_op on
+// the scheduling step, the chunk size computed locally from it (charged
+// ChunkCalcCost as an event), and a Fetch_and_op reserving that many
+// iterations. got(start, end) runs where a blocking caller resumed from the
+// second atomic; start >= n means the global queue is exhausted. One
+// request may be in flight per issuer.
+func (h *harness) newGlobalFetch(r *mpi.Rank, gw *mpi.Win, inter interSched, got func(start, end int)) func() {
+	eng := h.eng
+	n := h.prof.N()
+	cc := h.cfg.ChunkCalcCost
+	// The requester identity matters only for weighted techniques: when
+	// every rank requests (MPI+MPI), pass the rank, otherwise the node —
+	// either way its node's speed weights it.
+	requester := r.Node()
+	if h.interP() > h.cfg.Cluster.Nodes {
+		requester = r.Rank()
+	}
+	fop := gw.NewFetchAndOpCont(r)
+	var size int
+	reserved := func(s int64) {
+		start := int(s)
+		end := start + size
+		if end > n {
+			end = n
+		}
+		got(start, end)
+	}
+	calculated := func() {
+		fop(0, gwScheduled, int64(size), reserved)
+	}
+	stepped := func(step int64) {
+		size = inter.Chunk(int(step), requester)
+		now := eng.Now()
+		eng.AbsorbAsOf(now+cc, now, calculated)
+	}
+	return func() {
+		fop(0, gwStep, 1, stepped)
+	}
+}
+
 // runMPIMPI executes the proposed hierarchical MPI+MPI approach: one MPI
 // rank per core, a shared local work queue per node, distributed chunk
 // calculation against the global window.
 //
-// Ranks are goroutine-free machines (World.Launch): the setup collectives,
+// Ranks are continuation machines (World.Launch): the setup collectives,
 // the §3 worker loop and the rank's retirement all run as engine events at
-// the exact positions the process-driven rank occupied, so a cell spawns no
-// goroutines at all while producing byte-identical results (DESIGN.md §8).
+// the exact positions a blocking rank's wake-ups occupied (DESIGN.md §8).
 func (h *harness) runMPIMPI() error {
 	c := h.cfg
 	world, err := h.newWorld(&c.Cluster, c.WorkersPerNode)
@@ -53,8 +93,6 @@ func (h *harness) runMPIMPI() error {
 	// Per-node window handles are filled in during setup (every rank of a
 	// node receives the same *Win from the collective allocation).
 	localWins := make([]*mpi.Win, c.Cluster.Nodes)
-	finished := 0
-	fin := func() { finished++ }
 
 	start := func(r *mpi.Rank) {
 		world.Comm().WinAllocateCont(r, "global-queue", 2, func(gw *mpi.Win) {
@@ -63,7 +101,7 @@ func (h *harness) runMPIMPI() error {
 				localWins[r.Node()] = lw
 				w := nodeComm.RankOf(r)
 				world.Comm().BarrierCont(r, func() {
-					h.mpimpiWorker(r, gw, lw, w, inter, n, fin)
+					h.mpimpiWorker(r, gw, lw, w, inter, n)
 				})
 			})
 		})
@@ -73,9 +111,6 @@ func (h *harness) runMPIMPI() error {
 	lastRunPushes.Store(uint64(world.Engine().PushStamp()))
 	if runErr != nil {
 		return runErr
-	}
-	if finished != world.Size() {
-		return fmt.Errorf("core: %d of %d MPI+MPI ranks stalled", world.Size()-finished, world.Size())
 	}
 	for _, lw := range localWins {
 		if lw == nil {
@@ -104,9 +139,9 @@ func (h *harness) runMPIMPI() error {
 // scheduling-position) keys the literal Lock/Sync/Sleep/Unlock/Compute/
 // Fetch_and_op chain occupied (NewLockCont/NewUnlockCont/NewFetchAndOpCont/
 // ComputeCost), so every run is byte-identical to the literal protocol —
-// including noise draws and trace order — while the rank owns no goroutine
-// at all. done is called once, at the rank's literal retirement position.
-func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interSched, n int, done func()) {
+// including noise draws and trace order. The rank retires at its literal
+// retirement position.
+func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interSched, n int) {
 	c := h.cfg
 	node := r.Node()
 	worker := r.Rank() // world rank == global worker index (one rank/core)
@@ -120,15 +155,12 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 
 	var (
 		a, b     int
-		size     int // current refill's global chunk size
 		start    sim.Time
 		schedT0  sim.Time
 		schedKnd trace.Kind
 		lockCont func()
-		fopSched func(int64)
 		eng      = r.World().Engine()
 	)
-	fop := gw.NewFetchAndOpCont(r)
 
 	// execEnd fires at sub-chunk completion — the position of the literal
 	// Compute wake-up — accounts the executed range, and issues the next
@@ -155,32 +187,28 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 	// the literal rank resumed only to return; the machine rank retires.
 	exitCont := func(release sim.Time) {
 		h.traceSched(worker, node, trace.KindSchedLocal, schedT0, release)
-		done()
+		r.Retire()
 	}
 	// doneExit retires the rank after it published global exhaustion — the
 	// position where the literal rank resumed from its unlock and returned.
 	doneExit := func(release sim.Time) {
 		h.traceSched(worker, node, trace.KindSchedGlobal, schedT0, release)
-		done()
+		r.Retire()
 	}
 	unlockExec := lw.NewUnlockCont(r, 0, execCont)
 	unlockExit := lw.NewUnlockCont(r, 0, exitCont)
 	unlockDone := lw.NewUnlockCont(r, 0, doneExit)
 
-	// fopSched completes the refill: it fires where the literal rank
-	// resumed from its second Fetch_and_op, holding the obtained range.
-	fopSched = func(gstart64 int64) {
-		gstart := int(gstart64)
+	// refill runs stage 2 holding the queue lock — the global fetch —
+	// starting at the literal Sync wake position, and completes where the
+	// literal rank resumed from its second Fetch_and_op.
+	refill := h.newGlobalFetch(r, gw, inter, func(gstart, end int) {
 		if gstart >= n {
 			// Global queue exhausted: publish completion to the node.
 			q[lqDone] = 1
 			now := eng.Now()
 			unlockDone(now+ws, now)
 			return
-		}
-		end := gstart + size
-		if end > n {
-			end = n
 		}
 		h.globalChunks++
 
@@ -202,32 +230,7 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 		schedKnd = trace.KindSchedGlobal
 		t1 := eng.Now() + cc // literal: chunk-calc wake
 		unlockExec(t1+ws, t1)
-	}
-	// fopCalc runs at the literal chunk-calculation wake between the two
-	// global atomics and issues the second one.
-	fopCalc := func() {
-		fop(0, gwScheduled, int64(size), fopSched)
-	}
-	// fopStep receives the scheduling step from the first global atomic,
-	// computes the chunk size locally (distributed chunk calculation) and
-	// sleeps the calculation cost — as an event, not a parked goroutine.
-	fopStep := func(step int64) {
-		// The requester identity matters only for weighted techniques:
-		// under MPI+MPI every rank is a requester, so pass the rank (its
-		// node's speed weights it).
-		requester := node
-		if h.interP() > h.cfg.Cluster.Nodes {
-			requester = r.Rank()
-		}
-		size = inter.Chunk(int(step), requester)
-		now := eng.Now()
-		eng.AbsorbAsOf(now+cc, now, fopCalc)
-	}
-	// refill runs stage 2 holding the queue lock — two atomics on the
-	// global window — starting at the literal Sync wake position.
-	refill := func() {
-		fop(0, gwStep, 1, fopStep)
-	}
+	})
 
 	// granted runs at the event position where the literal worker resumed
 	// holding the queue lock (Lock's first check or the poller's grant).

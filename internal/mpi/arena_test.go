@@ -16,7 +16,8 @@ func TestRankOfIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.Run(func(r *Rank) {
+	err = w.Launch(func(r *Rank) {
+		defer r.Retire()
 		if got := w.Comm().RankOf(r); got != r.Rank() {
 			t.Errorf("world RankOf(%d) = %d", r.Rank(), got)
 		}
@@ -25,8 +26,8 @@ func TestRankOfIndexed(t *testing.T) {
 		if me != r.Core() {
 			t.Errorf("node RankOf(rank %d) = %d, want core %d", r.Rank(), me, r.Core())
 		}
-		if nc.WorldRank(me) != r.Rank() {
-			t.Errorf("node comm index broken: RankOf→WorldRank = %d for rank %d", nc.WorldRank(me), r.Rank())
+		if nc.base+me != r.Rank() {
+			t.Errorf("node comm index broken: RankOf→world rank = %d for rank %d", nc.base+me, r.Rank())
 		}
 		// A rank is never a member of another node's communicator.
 		other := w.Rank((r.Rank() + 4) % w.Size())
@@ -57,8 +58,10 @@ func TestWorldResetMatchesFresh(t *testing.T) {
 					unlock := lw.NewUnlockCont(r, 0, func(sim.Time) {
 						w.Comm().BarrierCont(r, func() {
 							if r.Rank() == 0 {
-								fop(0, 0, 0, func(v int64) { sum = v })
+								fop(0, 0, 0, func(v int64) { sum = v; r.Retire() })
+								return
 							}
+							r.Retire()
 						})
 					})
 					lock := lw.NewLockCont(r, 0, func() {
@@ -119,7 +122,7 @@ func TestWorldResetRejectsBadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(func(r *Rank) {}); err != nil {
+	if err := w.Launch(func(r *Rank) { r.Retire() }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Reset(1)
@@ -138,7 +141,10 @@ func BenchmarkCommRankOf(b *testing.B) {
 		b.Fatal(err)
 	}
 	var comms []*Comm
-	err = w.Run(func(r *Rank) { comms = append(comms, w.SplitTypeShared(r)) })
+	err = w.Launch(func(r *Rank) {
+		comms = append(comms, w.SplitTypeShared(r))
+		r.Retire()
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

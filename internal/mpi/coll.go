@@ -50,9 +50,6 @@ func (c *Comm) RankOf(r *Rank) int {
 	return i
 }
 
-// WorldRank translates a comm rank to a world rank.
-func (c *Comm) WorldRank(commRank int) int { return c.base + commRank }
-
 // spansNodes reports how many distinct nodes the communicator covers:
 // contiguous world ranks cover a contiguous node range.
 func (c *Comm) spansNodes() int {
@@ -81,10 +78,8 @@ type collState struct {
 	seq     int
 	arrived int
 	passed  int
-	wait    sim.WaitQueue
-	// conts holds goroutine-free arrivals (the *Cont collective variants) in
-	// arrival order — the machine-rank analogue of wait. A collective never
-	// mixes the two: all ranks of an executor are procs or all are machines.
+	// conts holds the continuations of the ranks still waiting, in arrival
+	// order.
 	conts []func()
 	// win is the window a collective allocation hands every rank.
 	win  *Win
@@ -123,35 +118,17 @@ func (c *Comm) enter(r *Rank, kind string) *collState {
 	return st
 }
 
-// arriveAndWait blocks r until every rank has arrived, then charges cost.
-func (c *Comm) arriveAndWait(r *Rank, st *collState, cost sim.Time) {
-	st.arrived++
-	if st.arrived == c.Size() {
-		if len(st.conts) > 0 {
-			panic(fmt.Sprintf("mpi: collective on %s mixes process and machine ranks", c.name))
-		}
-		st.wait.WakeAll()
-	} else {
-		st.wait.Wait(r.proc)
-	}
-	r.proc.Sleep(cost)
-}
-
-// arriveCont is arriveAndWait for goroutine-free ranks: instead of parking a
-// process it records cont and, when the last rank arrives, replays the
-// literal wake-and-sleep chain as engine events. Event positions are
-// byte-identical to the process version: the waiters' wake events occupy the
-// WakeAll resume positions (FIFO), the last arriver's post-cost continuation
-// is pushed next (its own Sleep), and each woken rank pushes its post-cost
-// continuation when its wake event fires (that rank's Sleep).
-func (c *Comm) arriveCont(r *Rank, st *collState, cost sim.Time, cont func()) {
+// arriveCont records r's arrival at a collective; cont runs once every rank
+// has arrived and the collective's cost has elapsed. The release is the
+// wake-then-charge chain of a blocking barrier: when the last rank arrives,
+// each waiter gets a wake event at the current instant in arrival order,
+// the last arriver's post-cost continuation is pushed next, and each woken
+// rank pushes its own post-cost continuation when its wake event fires.
+func (c *Comm) arriveCont(st *collState, cost sim.Time, cont func()) {
 	st.arrived++
 	if st.arrived < c.Size() {
 		st.conts = append(st.conts, cont)
 		return
-	}
-	if st.wait.Len() > 0 {
-		panic(fmt.Sprintf("mpi: collective on %s mixes process and machine ranks", c.name))
 	}
 	eng := c.world.eng
 	now := eng.Now()
@@ -183,8 +160,8 @@ func (c *Comm) leave(r *Rank, st *collState) {
 
 // latencyCost models a tree collective: depth × per-hop cost, where the
 // per-hop cost is the network latency for multi-node communicators and a
-// cheap shared-memory flag for node-local ones, plus a bandwidth term.
-func (c *Comm) latencyCost(rounds int, bytes int) sim.Time {
+// cheap shared-memory flag for node-local ones.
+func (c *Comm) latencyCost(rounds int) sim.Time {
 	w := c.world
 	depth := sim.Time(math.Ceil(math.Log2(float64(c.Size()))))
 	if c.Size() == 1 {
@@ -192,26 +169,18 @@ func (c *Comm) latencyCost(rounds int, bytes int) sim.Time {
 	}
 	var perHop sim.Time
 	if c.spansNodes() > 1 {
-		perHop = w.cfg.Net.Latency + w.cfg.Net.PortService +
-			sim.Time(float64(bytes)/w.cfg.Net.Bandwidth)
+		perHop = w.cfg.Net.Latency + w.cfg.Net.PortService
 	} else {
-		perHop = 4*w.cfg.Mem.LocalAtomic + sim.Time(float64(bytes)/w.cfg.Mem.CopyBandwidth)
+		perHop = 4 * w.cfg.Mem.LocalAtomic
 	}
 	return sim.Time(rounds) * depth * perHop
 }
 
-// Barrier blocks until every rank of c has entered.
-func (c *Comm) Barrier(r *Rank) {
-	st := c.enter(r, "barrier")
-	c.arriveAndWait(r, st, c.latencyCost(2, 0))
-	c.leave(r, st)
-}
-
-// BarrierCont is Barrier for goroutine-free ranks: cont runs at the event
-// position where the literal caller resumed past the barrier.
+// BarrierCont is MPI_Barrier: cont runs once every rank of c has entered,
+// at the event position where a blocking caller resumed past the barrier.
 func (c *Comm) BarrierCont(r *Rank, cont func()) {
 	st := c.enter(r, "barrier")
-	c.arriveCont(r, st, c.latencyCost(2, 0), func() {
+	c.arriveCont(st, c.latencyCost(2), func() {
 		c.leave(r, st)
 		cont()
 	})

@@ -24,9 +24,9 @@ func TestNewWorldHeterogeneousPlacement(t *testing.T) {
 	wantRanks := []int{16, 8, 4}
 	wantOff := []int{0, 16, 24}
 	for n := range wantRanks {
-		if w.RanksOn(n) != wantRanks[n] || w.NodeOffset(n) != wantOff[n] {
-			t.Errorf("node %d: RanksOn=%d off=%d, want %d/%d",
-				n, w.RanksOn(n), w.NodeOffset(n), wantRanks[n], wantOff[n])
+		if w.nodeRanks[n] != wantRanks[n] || w.nodeOff[n] != wantOff[n] {
+			t.Errorf("node %d: ranks=%d off=%d, want %d/%d",
+				n, w.nodeRanks[n], w.nodeOff[n], wantRanks[n], wantOff[n])
 		}
 	}
 	for r := 0; r < w.Size(); r++ {
@@ -47,7 +47,7 @@ func TestNewWorldHeterogeneousPlacement(t *testing.T) {
 	}
 	// Node communicators must match the per-node rank sets.
 	ran := false
-	w.Start(func(r *Rank) {
+	if err := w.Launch(func(r *Rank) {
 		nc := w.SplitTypeShared(r)
 		if nc.Size() != wantRanks[r.Node()] {
 			t.Errorf("rank %d node comm size %d, want %d", r.Rank(), nc.Size(), wantRanks[r.Node()])
@@ -56,8 +56,8 @@ func TestNewWorldHeterogeneousPlacement(t *testing.T) {
 			t.Errorf("rank %d node rank %d, want core %d", r.Rank(), nc.RankOf(r), r.Core())
 		}
 		ran = true
-	})
-	if err := eng.Run(); err != nil {
+		r.Retire()
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -74,8 +74,8 @@ func TestNewWorldCapAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 80 || w.RanksOn(0) != 16 || w.RanksOn(1) != 64 {
-		t.Fatalf("cap placement wrong: size=%d ranks=%d/%d", w.Size(), w.RanksOn(0), w.RanksOn(1))
+	if w.Size() != 80 || w.nodeRanks[0] != 16 || w.nodeRanks[1] != 64 {
+		t.Fatalf("cap placement wrong: size=%d ranks=%d/%d", w.Size(), w.nodeRanks[0], w.nodeRanks[1])
 	}
 	if _, err := NewWorld(eng, &cfg, 65); err == nil {
 		t.Error("NewWorld accepted ranksPerNode > MaxCores")

@@ -6,11 +6,13 @@
 // MPI_Comm_split_type(SHARED)) — with explicit cost models taken from the
 // cluster description.
 //
-// Ranks are simulated processes (World.Run, the blocking calls) or
-// goroutine-free machines (World.Launch, the *Cont calls). Window memory is
-// real Go memory touched only inside engine events, so the model is
-// race-free by construction while contention and queueing emerge from the
-// per-node RMA ports.
+// Ranks are continuation machines: World.Launch starts each one in an
+// engine event, every MPI call (the *Cont APIs and the issuers built by
+// NewLockCont, NewUnlockCont and NewFetchAndOpCont) takes the continuation
+// to run where a blocking caller would have resumed, and a finished rank
+// calls Retire. Window memory is real Go memory touched only inside engine
+// events, so the model is race-free by construction while contention and
+// queueing emerge from the per-node RMA ports.
 package mpi
 
 import (
@@ -43,6 +45,8 @@ type World struct {
 	world     *Comm
 	nodeComms []*Comm
 	wins      []*Win
+	// live counts the ranks of the running Launch that have not retired.
+	live int
 	// winFree holds retired windows from earlier cells of a pooled world;
 	// allocateWin reuses their backing arrays (see World.Reset).
 	winFree []*Win
@@ -192,12 +196,6 @@ func resizeSlice[T any](s []*T, n int) []*T {
 	return s
 }
 
-// RanksOn reports how many ranks node n hosts.
-func (w *World) RanksOn(n int) int { return w.nodeRanks[n] }
-
-// NodeOffset reports the first world rank hosted on node n.
-func (w *World) NodeOffset(n int) int { return w.nodeOff[n] }
-
 // Engine returns the owning simulation engine.
 func (w *World) Engine() *sim.Engine { return w.eng }
 
@@ -213,45 +211,37 @@ func (w *World) Comm() *Comm { return w.world }
 // Rank returns rank r's handle.
 func (w *World) Rank(r int) *Rank { return w.ranks[r] }
 
-// MemPortBusy reports the cumulative RMA service time on node n's window
-// port; used by overhead-accounting metrics and tests.
-func (w *World) MemPortBusy(n int) sim.Time { return w.memPort[n].srv.BusyTime() }
-
-// Start spawns one simulated process per rank, all running body. It must be
-// called before the engine runs.
-func (w *World) Start(body func(*Rank)) {
-	for _, r := range w.ranks {
-		r := r
-		r.proc = w.eng.Spawn(fmt.Sprintf("rank%d", r.rank), func(p *sim.Proc) {
-			body(r)
-		})
-	}
-}
-
-// Run is a convenience that spawns body on every rank and drives the engine
-// to completion, returning the engine's error (e.g. deadlock).
-func (w *World) Run(body func(*Rank)) error {
-	w.Start(body)
-	return w.eng.Run()
-}
-
-// Launch drives a world of goroutine-free machine ranks: start is invoked
-// for every rank, in rank order, inside an engine event at virtual time
-// zero — the exact position Start's per-rank spawn resume occupied — and
-// the engine then runs to completion. start must build the rank's
-// event-driven state machine (the *Cont APIs) and return; no simulated
-// process is created, so the cell spawns no goroutines. Machine ranks must
-// not call the blocking primitives (Compute, FetchAndOp, collectives without
-// a Cont suffix) — those need a process to park.
+// Launch runs a world of continuation-machine ranks: start is invoked for
+// every rank, in rank order, inside an engine event at virtual time zero,
+// and the engine then runs to completion. start must build the rank's
+// event-driven state machine (the *Cont APIs) and return; the rank calls
+// Retire once its machine has finished. Launch returns the engine's error
+// (ErrInterrupted), or an error naming every rank that never retired — a
+// machine that lost its continuation stalls instead of finishing.
 func (w *World) Launch(start func(*Rank)) error {
 	// The literal A/B runs of the fast-forward differential tests force
 	// every AbsorbAsOf site through the queue.
 	w.eng.SetAbsorb(fastFwd.Load())
+	w.live = len(w.ranks)
 	for _, r := range w.ranks {
 		r := r
+		r.retired = false
 		w.eng.Schedule(0, func() { start(r) })
 	}
-	return w.eng.Run()
+	if err := w.eng.Run(); err != nil {
+		return err
+	}
+	if w.live == 0 {
+		return nil
+	}
+	var stalled []int
+	for _, r := range w.ranks {
+		if !r.retired {
+			stalled = append(stalled, r.rank)
+		}
+	}
+	return fmt.Errorf("mpi: %d of %d ranks stalled at t=%.9f: ranks %v never retired",
+		len(stalled), len(w.ranks), float64(w.eng.Now()), stalled)
 }
 
 // Rank is one MPI process.
@@ -260,7 +250,8 @@ type Rank struct {
 	rank  int
 	node  int
 	core  int
-	proc  *sim.Proc
+	// retired is set by Retire (see Launch's stall check).
+	retired bool
 
 	// pollerBuf is the rank's reusable lock-poller: a rank has at most one
 	// outstanding lock attempt, so the contended path allocates nothing in
@@ -289,23 +280,24 @@ func (r *Rank) Core() int { return r.core }
 // World returns the owning world.
 func (r *Rank) World() *World { return r.world }
 
-// Proc exposes the underlying simulated process (nil for the goroutine-free
-// machine ranks of World.Launch).
-func (r *Rank) Proc() *sim.Proc { return r.proc }
+// Retire marks the rank's machine finished; Launch reports every rank that
+// never calls it. Retiring twice panics.
+func (r *Rank) Retire() {
+	if r.retired {
+		panic(fmt.Sprintf("mpi: rank %d retired twice", r.rank))
+	}
+	r.retired = true
+	r.world.live--
+}
 
 // Now reports virtual time.
 func (r *Rank) Now() sim.Time { return r.world.eng.Now() }
 
-// Compute executes ref seconds of reference-core work on this rank's core,
-// scaled by the node's speed and the cluster's noise/perturbation models.
-func (r *Rank) Compute(ref sim.Time) {
-	r.proc.Sleep(r.world.cfg.ExecTime(r.node, ref, r.proc.Now(), r.world.eng.Rand()))
-}
-
-// ComputeCost returns the scaled duration of ref seconds of reference work
-// starting now, without scheduling anything: fully event-driven executors
-// schedule their own completion event at (now+d, now) — the exact position
-// Compute's wake-up occupied.
+// ComputeCost returns the duration of ref seconds of reference-core work
+// on this rank's core starting now, scaled by the node's speed and the
+// cluster's noise/perturbation models; it draws from the engine's random
+// source but schedules nothing. Executors schedule the completion at
+// (now+d, now).
 func (r *Rank) ComputeCost(ref sim.Time) sim.Time {
 	eng := r.world.eng
 	return r.world.cfg.ExecTime(r.node, ref, eng.Now(), eng.Rand())

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,21 +11,48 @@ import (
 func TestCollectiveKindMismatchPanics(t *testing.T) {
 	_, w := newTestWorld(t, 1, 2)
 	panicked := false
-	err := w.Run(func(r *Rank) {
+	err := w.Launch(func(r *Rank) {
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
 		if r.Rank() == 0 {
-			w.Comm().Barrier(r)
+			w.Comm().BarrierCont(r, r.Retire)
 		} else {
-			w.Comm().WinAllocate(r, "w", 1)
+			w.Comm().WinAllocateCont(r, "w", 1, func(*Win) { r.Retire() })
 		}
 	})
-	_ = err // the survivor deadlocks; that's expected after the panic
 	if !panicked {
 		t.Fatal("mismatched collectives did not panic")
+	}
+	// Rank 0 waits at a barrier its partner never enters.
+	if err == nil || !strings.Contains(err.Error(), "ranks [0 1] never retired") {
+		t.Fatalf("Launch = %v, want both ranks reported stalled", err)
+	}
+}
+
+// TestLaunchReportsStalledRanks pins Launch's stall check: a rank whose
+// machine drops its continuation never retires, and the error names it.
+func TestLaunchReportsStalledRanks(t *testing.T) {
+	_, w := newTestWorld(t, 2, 2)
+	err := w.Launch(func(r *Rank) {
+		w.Comm().BarrierCont(r, func() {
+			if r.Rank() != 2 {
+				r.Retire()
+			}
+		})
+	})
+	if err == nil {
+		t.Fatal("Launch reported no stall")
+	}
+	if !strings.Contains(err.Error(), "1 of 4 ranks stalled") || !strings.Contains(err.Error(), "ranks [2] never retired") {
+		t.Fatalf("Launch = %q, want rank 2 named as stalled", err)
+	}
+	// A world whose ranks all retire launches cleanly.
+	_, w = newTestWorld(t, 2, 2)
+	if err := w.Launch(func(r *Rank) { w.Comm().BarrierCont(r, r.Retire) }); err != nil {
+		t.Fatalf("clean Launch = %v", err)
 	}
 }
 
@@ -41,7 +69,9 @@ func TestWinAccountingCounters(t *testing.T) {
 			next := func(int64) {
 				if left--; left > 0 {
 					lock()
+					return
 				}
+				r.Retire()
 			}
 			unlock := wn.NewUnlockCont(r, 0, func(sim.Time) { fop(0, 0, 1, next) })
 			lock = wn.NewLockCont(r, 0, func() {
@@ -65,9 +95,6 @@ func TestWinAccountingCounters(t *testing.T) {
 	}
 	if got := win.Shared(w.Rank(0), 0)[0]; got != 12 {
 		t.Fatalf("counter = %d, want 12", got)
-	}
-	if w.MemPortBusy(0) <= 0 {
-		t.Fatal("window port recorded no busy time")
 	}
 }
 
@@ -113,6 +140,7 @@ func TestSharedAccessValidation(t *testing.T) {
 				nodeWins[r.Node()] = nw
 				w.Comm().BarrierCont(r, func() {
 					try(&remote, func() { nodeWins[1-r.Node()].Shared(r, 0) })
+					r.Retire()
 				})
 			})
 		})
@@ -136,11 +164,11 @@ func TestManyRanksBarrierScales(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := 0
-	if err := w.Run(func(r *Rank) {
-		for i := 0; i < 3; i++ {
-			w.Comm().Barrier(r)
-		}
-		done++
+	if err := w.Launch(func(r *Rank) {
+		barriers(w.Comm(), r, 3, func() {
+			done++
+			r.Retire()
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -43,14 +43,18 @@ func TestNewWorldRejectsOversubscription(t *testing.T) {
 }
 
 func TestBarrierSynchronizes(t *testing.T) {
-	_, w := newTestWorld(t, 2, 4)
+	eng, w := newTestWorld(t, 2, 4)
 	var minExit sim.Time = 1 << 30
-	err := w.Run(func(r *Rank) {
-		r.Proc().Sleep(sim.Time(r.Rank()) * 0.5) // staggered arrivals
-		w.Comm().Barrier(r)
-		if r.Now() < minExit {
-			minExit = r.Now()
-		}
+	err := w.Launch(func(r *Rank) {
+		// Staggered arrivals.
+		eng.ScheduleAsOf(sim.Time(r.Rank())*0.5, 0, func() {
+			w.Comm().BarrierCont(r, func() {
+				if r.Now() < minExit {
+					minExit = r.Now()
+				}
+				r.Retire()
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,11 +68,11 @@ func TestBarrierSynchronizes(t *testing.T) {
 func TestBarrierRepeats(t *testing.T) {
 	_, w := newTestWorld(t, 2, 2)
 	count := 0
-	err := w.Run(func(r *Rank) {
-		for i := 0; i < 5; i++ {
-			w.Comm().Barrier(r)
-		}
-		count++
+	err := w.Launch(func(r *Rank) {
+		barriers(w.Comm(), r, 5, func() {
+			count++
+			r.Retire()
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,14 +82,37 @@ func TestBarrierRepeats(t *testing.T) {
 	}
 }
 
+// barriers passes r through k consecutive barriers on c, then runs cont.
+func barriers(c *Comm, r *Rank, k int, cont func()) {
+	if k == 0 {
+		cont()
+		return
+	}
+	c.BarrierCont(r, func() { barriers(c, r, k-1, cont) })
+}
+
+// fetchAdds issues k sequential Fetch_and_op(+delta) calls on (target,
+// offset) through fop, passing each old value to each, then runs cont.
+func fetchAdds(fop func(int, int, int64, func(int64)), target, offset int, delta int64, k int, each func(int64), cont func()) {
+	if k == 0 {
+		cont()
+		return
+	}
+	fop(target, offset, delta, func(old int64) {
+		each(old)
+		fetchAdds(fop, target, offset, delta, k-1, each, cont)
+	})
+}
+
 func TestSplitTypeShared(t *testing.T) {
 	_, w := newTestWorld(t, 2, 3)
 	comms := make([]*Comm, 6)
 	ranks := make([]int, 6)
-	err := w.Run(func(r *Rank) {
+	err := w.Launch(func(r *Rank) {
 		c := w.SplitTypeShared(r)
 		comms[r.Rank()] = c
 		ranks[r.Rank()] = c.RankOf(r)
+		r.Retire()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,15 +140,22 @@ func TestWinAllocateAndAtomics(t *testing.T) {
 	_, w := newTestWorld(t, 2, 2)
 	const perRank = 100
 	sum := int64(0)
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "ctr", 4)
-		for i := 0; i < perRank; i++ {
-			win.FetchAndOp(r, 0, 0, 1)
-		}
-		w.Comm().Barrier(r)
-		if r.Rank() == 0 {
-			sum = win.FetchAndOp(r, 0, 0, 0)
-		}
+	err := w.Launch(func(r *Rank) {
+		w.Comm().WinAllocateCont(r, "ctr", 4, func(win *Win) {
+			fop := win.NewFetchAndOpCont(r)
+			fetchAdds(fop, 0, 0, 1, perRank, func(int64) {}, func() {
+				w.Comm().BarrierCont(r, func() {
+					if r.Rank() != 0 {
+						r.Retire()
+						return
+					}
+					fop(0, 0, 0, func(v int64) {
+						sum = v
+						r.Retire()
+					})
+				})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,12 +168,11 @@ func TestWinAllocateAndAtomics(t *testing.T) {
 func TestFetchAndOpReturnsDistinctOldValues(t *testing.T) {
 	_, w := newTestWorld(t, 2, 4)
 	seen := map[int64]int{}
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "ctr", 1)
-		for i := 0; i < 10; i++ {
-			old := win.FetchAndOp(r, 0, 0, 1)
-			seen[old]++
-		}
+	err := w.Launch(func(r *Rank) {
+		w.Comm().WinAllocateCont(r, "ctr", 1, func(win *Win) {
+			fetchAdds(win.NewFetchAndOpCont(r), 0, 0, 1, 10,
+				func(old int64) { seen[old]++ }, r.Retire)
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +199,6 @@ func TestFetchAndOpReturnsDistinctOldValues(t *testing.T) {
 func lockRounds(t testing.TB, w *World, rounds int, hold, think sim.Time, onGrant, onRelease func(*Rank)) []*Win {
 	t.Helper()
 	wins := make([]*Win, w.Cluster().Nodes)
-	finished := 0
 	err := w.Launch(func(r *Rank) {
 		w.SplitTypeShared(r).WinAllocateSharedCont(r, "q", 1, func(win *Win) {
 			wins[r.Node()] = win
@@ -176,7 +208,7 @@ func lockRounds(t testing.TB, w *World, rounds int, hold, think sim.Time, onGran
 			unlock := win.NewUnlockCont(r, 0, func(release sim.Time) {
 				onRelease(r)
 				if left--; left == 0 {
-					finished++
+					r.Retire()
 					return
 				}
 				eng.ScheduleAsOf(release+r.ComputeCost(think), release, lock)
@@ -191,9 +223,6 @@ func lockRounds(t testing.TB, w *World, rounds int, hold, think sim.Time, onGran
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if finished != w.Size() {
-		t.Fatalf("%d of %d ranks finished their lock rounds", finished, w.Size())
 	}
 	return wins
 }
@@ -250,22 +279,30 @@ func TestLockFairnessIsNotStarvation(t *testing.T) {
 }
 
 func TestRemoteAtomicSlowerThanLocal(t *testing.T) {
-	_, w := newTestWorld(t, 2, 2)
+	eng, w := newTestWorld(t, 2, 2)
 	var localT, remoteT sim.Time
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "x", 1)
-		w.Comm().Barrier(r)
-		if r.Rank() == 1 { // same node as target rank 0
-			t0 := r.Now()
-			win.FetchAndOp(r, 0, 0, 1)
-			localT = r.Now() - t0
-		}
-		if r.Rank() == 2 { // different node
-			r.Proc().Sleep(sim.Millisecond) // avoid port interference
-			t0 := r.Now()
-			win.FetchAndOp(r, 0, 0, 1)
-			remoteT = r.Now() - t0
-		}
+	// timed issues one Fetch_and_op from r and stores its latency.
+	timed := func(r *Rank, win *Win, out *sim.Time) {
+		t0 := r.Now()
+		win.NewFetchAndOpCont(r)(0, 0, 1, func(int64) {
+			*out = r.Now() - t0
+			r.Retire()
+		})
+	}
+	err := w.Launch(func(r *Rank) {
+		w.Comm().WinAllocateCont(r, "x", 1, func(win *Win) {
+			w.Comm().BarrierCont(r, func() {
+				switch r.Rank() {
+				case 1: // same node as target rank 0
+					timed(r, win, &localT)
+				case 2: // different node; start later to avoid port interference
+					now := eng.Now()
+					eng.ScheduleAsOf(now+sim.Millisecond, now, func() { timed(r, win, &remoteT) })
+				default:
+					r.Retire()
+				}
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +328,7 @@ func TestSharedWindowDirectAccess(t *testing.T) {
 				if r.Rank() == 1 {
 					got = win.Shared(r, 1)[3]
 				}
+				r.Retire()
 			})
 		})
 	})
@@ -310,6 +348,7 @@ func TestWinAllocateSharedRejectsMultiNodeComm(t *testing.T) {
 			if recover() != nil {
 				panicked++
 			}
+			r.Retire()
 		}()
 		w.Comm().WinAllocateSharedCont(r, "bad", 1, func(*Win) {})
 	})
@@ -329,10 +368,9 @@ func TestComputeScalesWithNodeSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	times := make([]sim.Time, 2)
-	if err := w.Run(func(r *Rank) {
-		t0 := r.Now()
-		r.Compute(1)
-		times[r.Rank()] = r.Now() - t0
+	if err := w.Launch(func(r *Rank) {
+		times[r.Rank()] = r.ComputeCost(1)
+		r.Retire()
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -353,17 +391,25 @@ func TestDeterministicEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		var last sim.Time
-		if err := w.Run(func(r *Rank) {
-			win := w.Comm().WinAllocate(r, "ctr", 1)
-			for {
-				tkt := win.FetchAndOp(r, 0, 0, 1)
-				if tkt >= 200 {
-					break
+		if err := w.Launch(func(r *Rank) {
+			w.Comm().WinAllocateCont(r, "ctr", 1, func(win *Win) {
+				fop := win.NewFetchAndOpCont(r)
+				var take func()
+				got := func(tkt int64) {
+					if tkt >= 200 {
+						w.Comm().BarrierCont(r, func() {
+							last = r.Now()
+							r.Retire()
+						})
+						return
+					}
+					now := eng.Now()
+					d := r.ComputeCost(sim.Time(tkt%7+1) * 10 * sim.Microsecond)
+					eng.ScheduleAsOf(now+d, now, take)
 				}
-				r.Compute(sim.Time(tkt%7+1) * 10 * sim.Microsecond)
-			}
-			w.Comm().Barrier(r)
-			last = r.Now()
+				take = func() { fop(0, 0, 1, got) }
+				take()
+			})
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -379,14 +425,23 @@ func BenchmarkFetchAndOpLocal(b *testing.B) {
 	eng := sim.NewEngine(1)
 	cfg := cluster.MiniHPC(1)
 	w, _ := NewWorld(eng, &cfg, 2)
-	w.Start(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "b", 1)
-		for i := 0; i < b.N; i++ {
-			win.FetchAndOp(r, 0, 0, 1)
-		}
-	})
+	b.ReportAllocs()
 	b.ResetTimer()
-	if err := eng.Run(); err != nil {
+	if err := w.Launch(func(r *Rank) {
+		w.Comm().WinAllocateCont(r, "b", 1, func(win *Win) {
+			fop := win.NewFetchAndOpCont(r)
+			left := b.N
+			var next func(int64)
+			next = func(int64) {
+				if left--; left <= 0 {
+					r.Retire()
+					return
+				}
+				fop(0, 0, 1, next)
+			}
+			fop(0, 0, 1, next)
+		})
+	}); err != nil {
 		b.Fatal(err)
 	}
 }

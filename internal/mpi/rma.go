@@ -501,21 +501,9 @@ func (w *World) pooledWin(size, count int) *Win {
 	return nil
 }
 
-// WinAllocate collectively creates a window with count int64 words per rank.
-func (c *Comm) WinAllocate(r *Rank, name string, count int) *Win {
-	st := c.enter(r, "winalloc")
-	if st.win == nil {
-		st.win = c.newWin(name, count, false)
-	}
-	win := st.win
-	c.arriveAndWait(r, st, c.latencyCost(2, 0)) // window creation synchronizes
-	c.leave(r, st)
-	return win
-}
-
-// allocateWinCont is the goroutine-free collective window allocation: cont
-// receives the window at the event position where a blocking caller resumed
-// from the creation barrier.
+// allocateWinCont is the collective window allocation: cont receives the
+// window at the event position where a blocking caller resumed from the
+// creation barrier.
 func (c *Comm) allocateWinCont(r *Rank, name string, count int, shared bool, cont func(*Win)) {
 	if shared && c.spansNodes() != 1 {
 		panic(fmt.Sprintf("mpi: WinAllocateSharedCont on communicator %q spanning %d nodes", c.name, c.spansNodes()))
@@ -525,22 +513,22 @@ func (c *Comm) allocateWinCont(r *Rank, name string, count int, shared bool, con
 		st.win = c.newWin(name, count, shared)
 	}
 	win := st.win
-	c.arriveCont(r, st, c.latencyCost(2, 0), func() {
+	c.arriveCont(st, c.latencyCost(2), func() {
 		c.leave(r, st)
 		cont(win)
 	})
 }
 
-// WinAllocateCont is the goroutine-free WinAllocate: the calling rank must
-// be a machine rank (no simulated process), and cont runs holding the new
+// WinAllocateCont is MPI_Win_allocate: it collectively creates a window
+// with count int64 words per rank of c, and cont runs holding the new
 // window at the literal post-creation-barrier event position.
 func (c *Comm) WinAllocateCont(r *Rank, name string, count int, cont func(*Win)) {
 	c.allocateWinCont(r, name, count, false, cont)
 }
 
 // WinAllocateSharedCont collectively creates an MPI-3 shared-memory window
-// (MPI_Win_allocate_shared) for machine ranks; the communicator must live
-// on a single node (use SplitTypeShared).
+// (MPI_Win_allocate_shared); the communicator must live on a single node
+// (use SplitTypeShared).
 func (c *Comm) WinAllocateSharedCont(r *Rank, name string, count int, cont func(*Win)) {
 	c.allocateWinCont(r, name, count, true, cont)
 }
@@ -554,48 +542,6 @@ func (w *Win) Comm() *Comm { return w.comm }
 // targetNode returns the node hosting the target comm rank's segment.
 func (w *Win) targetNode(target int) int {
 	return w.world.ranks[w.comm.base+target].node
-}
-
-// rmaRoundFrom performs one RMA operation round from process p on fromNode
-// to the target's host port: wire latency both ways when the target is
-// remote, and serial service at the port either way. It returns after the
-// op completed.
-func (w *Win) rmaRoundFrom(p *sim.Proc, fromNode, target int, service sim.Time) {
-	wld := w.world
-	tn := w.targetNode(target)
-	pt := wld.memPort[tn]
-	if tn == fromNode {
-		if pt.pending() {
-			wld.advancePort(tn, p.Now(), wld.eng.EventScheduledAt(), false)
-		}
-		pt.srv.Serve(p, service)
-		return
-	}
-	net := &wld.cfg.Net
-	p.Sleep(net.Latency)
-	if pt.pending() {
-		wld.advancePort(tn, p.Now(), wld.eng.EventScheduledAt(), false)
-	}
-	pt.srv.Serve(p, service+net.PortService)
-	p.Sleep(net.Latency)
-}
-
-// FetchAndOp atomically adds delta to the word at (target, offset) and
-// returns its previous value — MPI_Fetch_and_op with MPI_SUM. With delta 0
-// it is an atomic read (MPI_NO_OP). r must be a process rank (World.Run).
-func (w *Win) FetchAndOp(r *Rank, target, offset int, delta int64) int64 {
-	return w.FetchAndOpFrom(r.proc, r.node, target, offset, delta)
-}
-
-// FetchAndOpFrom is FetchAndOp issued from an arbitrary simulated process
-// pinned to fromNode. It models threads calling MPI under
-// MPI_THREAD_MULTIPLE (used by the nowait extension executor).
-func (w *Win) FetchAndOpFrom(p *sim.Proc, fromNode, target, offset int, delta int64) int64 {
-	w.AtomicOps++
-	w.rmaRoundFrom(p, fromNode, target, w.world.cfg.Mem.SharedWinOp)
-	old := w.data[target][offset]
-	w.data[target][offset] = old + delta
-	return old
 }
 
 // NewLockCont returns a reusable continuation-style MPI_Win_lock issuer
@@ -708,17 +654,17 @@ func (w *Win) NewUnlockCont(r *Rank, target int, cont func(release sim.Time)) fu
 }
 
 // NewFetchAndOpCont returns a reusable event-driven MPI_Fetch_and_op issuer
-// on w for rank r: issue(target, offset, delta, cont) performs the literal
-// RMA round — wire latency both ways when the target is remote, poll replay
-// and serial service at the target port either way — entirely in engine
-// events at the exact (time, scheduling-time) positions the blocking
-// FetchAndOp's sleeps occupied, then applies the read-modify-write and runs
-// cont(old) inline at the completion event, where the literal caller
-// resumed. At most one operation may be in flight per issuer; the issuer
-// and its closures are allocated once, so steady-state issues allocate
-// nothing. The caller must already be executing inside an engine event (a
-// machine rank), so the pre-service poll replay sees the same
-// EventScheduledAt as the literal call site.
+// (MPI_SUM; delta 0 is an atomic read) on w for rank r:
+// issue(target, offset, delta, cont) performs the literal RMA round — wire
+// latency both ways when the target is remote, poll replay and serial
+// service at the target port either way — entirely in engine events at the
+// exact (time, scheduling-time) positions a blocking caller's sleeps
+// occupied, then applies the read-modify-write and runs cont(old) inline at
+// the completion event, where that caller resumed. At most one operation
+// may be in flight per issuer; the issuer and its closures are allocated
+// once, so steady-state issues allocate nothing. The caller must already
+// be executing inside an engine event, so the pre-service poll replay sees
+// the same EventScheduledAt as the literal call site.
 func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, cont func(old int64)) {
 	wld := w.world
 	eng := wld.eng

@@ -15,7 +15,6 @@ package openmp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/dls"
 	"repro/internal/cluster"
@@ -82,9 +81,10 @@ func MapTechnique(t dls.Technique) (ScheduleKind, error) {
 	return 0, fmt.Errorf("openmp: no schedule clause for technique %v", t)
 }
 
-// Team is a thread team pinned to one node. Thread 0 is the calling
-// (master) process; the remaining threads are simulated processes spawned
-// per worksharing loop, as fork–join semantics dictate.
+// Team is a thread team pinned to one node. Every thread, the master
+// included, is a continuation machine built once with the team; each
+// ParallelFor re-arms the machines for its loop, so a worksharing loop
+// allocates no per-thread state.
 type Team struct {
 	eng     *sim.Engine
 	cl      *cluster.Config
@@ -94,33 +94,84 @@ type Team struct {
 	// atomicPort serializes dynamic/guided chunk grabs (one cache line).
 	atomicPort sim.Server
 
-	// Costs; zero values are replaced by defaults in NewTeam.
-	ForkJoin sim.Time // fork + join overhead charged to the master per loop
-	Barrier  sim.Time // implicit-barrier signalling cost per thread
+	// The loop in flight.
+	f       For
+	st      loopState
+	finish  []sim.Time
+	chunks  int
+	pending int  // threads that have not reached the barrier
+	waiting bool // the master reached the barrier and waits for the rest
+	done    func(ForResult)
 
-	// Accumulated statistics across loops.
-	BarrierWait sim.Time // Σ idle time at implicit barriers
-	Loops       int
-	Chunks      int
+	machines []*thread
+	fork     func()
+	join     func()
 }
+
+// thread is one team thread's continuation machine.
+type thread struct {
+	a, b  int
+	start sim.Time
+	// Static-schedule cursor: the next strip start under static,k, or
+	// whether the contiguous block was handed out under plain static.
+	next  int
+	taken bool
+	// Loop entry points: static runs one event per strip; the dynamic
+	// family grabs each chunk through the team's atomic port.
+	static  func()
+	dynamic func()
+}
+
+// Runtime costs of a worksharing loop.
+const (
+	forkJoinCost = 1.5 * sim.Microsecond // fork + join overhead charged to the master per loop
+	barrierCost  = 0.8 * sim.Microsecond // implicit-barrier signalling cost per thread
+)
 
 // NewTeam creates a team of the given size on node.
 func NewTeam(eng *sim.Engine, cl *cluster.Config, node, threads int) (*Team, error) {
 	if threads <= 0 || threads > cl.Cores(node) {
 		return nil, fmt.Errorf("openmp: team of %d threads on %d-core node", threads, cl.Cores(node))
 	}
-	return &Team{
+	t := &Team{
 		eng:      eng,
 		cl:       cl,
 		node:     node,
 		threads:  threads,
-		ForkJoin: 1.5 * sim.Microsecond,
-		Barrier:  0.8 * sim.Microsecond,
-	}, nil
+		finish:   make([]sim.Time, threads),
+		machines: make([]*thread, threads),
+	}
+	for tid := range t.machines {
+		t.machines[tid] = t.newThread(tid)
+	}
+	t.fork = func() {
+		now := eng.Now()
+		t.pending, t.waiting, t.chunks = threads, false, 0
+		for tid := 1; tid < threads; tid++ {
+			eng.ScheduleAsOf(now, now, t.entry(tid))
+		}
+		t.entry(0)()
+	}
+	t.join = func() {
+		if t.pending > 0 {
+			t.waiting = true
+			return
+		}
+		res := ForResult{ThreadFinish: t.finish, Chunks: t.chunks}
+		for _, fin := range t.finish {
+			if fin > res.MaxFinish {
+				res.MaxFinish = fin
+			}
+		}
+		for _, fin := range t.finish {
+			res.BarrierWait += res.MaxFinish - fin
+		}
+		done := t.done
+		t.done = nil
+		done(res)
+	}
+	return t, nil
 }
-
-// Threads reports the team size.
-func (t *Team) Threads() int { return t.threads }
 
 // For describes one worksharing loop over [0, N).
 type For struct {
@@ -134,275 +185,169 @@ type For struct {
 	// Visit, if non-nil, observes each executed range with its thread id
 	// and execution interval — the hook the tracer uses.
 	Visit func(thread, a, b int, start, end sim.Time)
-	// NoWait skips the implicit barrier: the master returns as soon as its
-	// own work is done. (Loop-level nowait; the paper's cross-chunk nowait
-	// pipeline is modelled by the executor in internal/core.)
-	NoWait bool
 }
 
 // ForResult reports one loop execution.
 type ForResult struct {
-	ThreadFinish []sim.Time // absolute finish time per thread
+	// ThreadFinish is each thread's barrier arrival time. It aliases the
+	// team's storage and is valid until the next ParallelFor.
+	ThreadFinish []sim.Time
 	MaxFinish    sim.Time
-	BarrierWait  sim.Time // Σ (MaxFinish − finish), 0 under NoWait
+	BarrierWait  sim.Time // Σ (MaxFinish − finish)
 	Chunks       int
 }
 
 // loopState is the shared worksharing state of one loop instance.
 type loopState struct {
-	next           int // first unassigned iteration (dynamic/guided/extended)
-	step           int // scheduling step (extended schedules)
-	sched          dls.Schedule
-	assignedStatic []bool // static: whether a thread took its block
-	cyclicPos      []int  // static,k: next strip start per thread
+	next  int // first unassigned iteration (dynamic family)
+	step  int // scheduling step (extended schedules)
+	sched dls.Schedule
 }
 
-// ParallelFor executes f on the team. The caller's process acts as thread
-// 0; threads 1..T−1 are spawned for the loop and joined at its end (the
-// implicit barrier), unless NoWait is set.
-func (t *Team) ParallelFor(master *sim.Proc, f For) ForResult {
+// ParallelFor executes f on the team and calls done with the loop's result
+// once every thread has passed the implicit barrier. The caller's rank is
+// thread 0: it pays the fork cost, then threads 1..T−1 start at the fork
+// instant and thread 0 runs inline; done fires where the master left the
+// join. The call must be in tail position of the caller's event, and one
+// loop runs at a time per team.
+func (t *Team) ParallelFor(f For, done func(ForResult)) {
 	if f.N < 0 {
 		panic("openmp: negative loop size")
 	}
 	if f.RangeCost == nil {
 		panic("openmp: For.RangeCost is required")
 	}
-	T := t.threads
-	res := ForResult{ThreadFinish: make([]sim.Time, T)}
-	st := &loopState{}
+	if t.done != nil {
+		panic("openmp: ParallelFor while a loop is in flight")
+	}
+	t.f, t.done = f, done
+	t.st = loopState{}
 	switch f.Schedule {
 	case ScheduleTSS:
-		st.sched = dls.MustNew(dls.TSS, dls.Params{N: f.N, P: T})
+		t.st.sched = dls.MustNew(dls.TSS, dls.Params{N: f.N, P: t.threads})
 	case ScheduleFAC2:
-		st.sched = dls.MustNew(dls.FAC2, dls.Params{N: f.N, P: T})
+		t.st.sched = dls.MustNew(dls.FAC2, dls.Params{N: f.N, P: t.threads})
 	}
-
-	// Fork overhead on the master.
-	master.Sleep(t.ForkJoin)
-	t.Loops++
-
-	done := make([]bool, T)
-	var joinQueue sim.WaitQueue
-	chunks := 0
-
-	body := func(p *sim.Proc, tid int) {
-		if f.Schedule == ScheduleStatic {
-			// Precomputed split, no chunk-grab port: stay process-driven.
-			for {
-				a, b := t.grab(p, f, st, tid)
-				if a >= b {
-					break
-				}
-				chunks++
-				start := p.Now()
-				d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, t.eng.Rand())
-				p.Sleep(d)
-				if f.Visit != nil {
-					f.Visit(tid, a, b, start, p.Now())
-				}
-			}
-		} else {
-			// Dynamic-family schedules run fully event-driven: the chunk
-			// grab's shared-state update, cost lookup and noise draw happen
-			// in an event at the exact position of the literal post-serve
-			// wake-up, chunk completion (visit plus next grab) in an event
-			// at the literal execution wake-up, and the thread's goroutine
-			// parks until the loop is exhausted. Event keys, state updates
-			// and RNG draw order are identical to the literal Serve/Sleep
-			// loop.
-			var a, b int
-			var start sim.Time
-			eng := t.eng
-			var issueGrab func()
-			execEnd := func() {
-				chunks++
-				if f.Visit != nil {
-					f.Visit(tid, a, b, start, eng.Now())
-				}
-				issueGrab()
-			}
-			grabbed := func() {
-				a, b = t.take(f, st, tid)
-				now := eng.Now()
-				if a >= b {
-					p.UnparkAsOf(now, now)
-					return
-				}
-				start = now
-				d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, eng.Rand())
-				eng.ScheduleAsOf(start+d, start, execEnd)
-			}
-			issueGrab = func() {
-				now := eng.Now()
-				fin := t.atomicPort.ServeAsync(now, t.cl.Mem.LocalAtomic)
-				eng.ScheduleAsOf(now+(fin-now), now, grabbed)
-			}
-			issueGrab()
-			p.Park()
-		}
-		p.Sleep(t.Barrier) // barrier signalling cost
-		res.ThreadFinish[tid] = p.Now()
-		done[tid] = true
+	for tid, th := range t.machines {
+		th.next, th.taken = tid*f.Chunk, false
 	}
-
-	// Worker threads are goroutine-free state machines: each one starts in
-	// an engine event at the exact position its spawn resume occupied, its
-	// grabs and chunk completions run at the literal event keys of body's
-	// process-driven loop, and its retirement (barrier signalling, finish
-	// bookkeeping, master wake-up) fires where the literal thread's final
-	// wake-ups did. A worksharing loop therefore spawns no goroutines at
-	// all; only the master — the calling MPI rank — is a real process.
-	for tid := 1; tid < T; tid++ {
-		t.startThreadMachine(f, st, res.ThreadFinish, done, &joinQueue, &chunks, tid)
-	}
-	body(master, 0)
-
-	if !f.NoWait {
-		for !allDone(done) {
-			joinQueue.Wait(master)
-		}
-	}
-	for _, fin := range res.ThreadFinish {
-		if fin > res.MaxFinish {
-			res.MaxFinish = fin
-		}
-	}
-	if !f.NoWait {
-		for _, fin := range res.ThreadFinish {
-			res.BarrierWait += res.MaxFinish - fin
-		}
-		// Join: master leaves at the barrier-release time.
-		if res.MaxFinish > master.Now() {
-			master.Sleep(res.MaxFinish - master.Now())
-		}
-	}
-	t.BarrierWait += res.BarrierWait
-	t.Chunks += chunks
-	res.Chunks = chunks
-	return res
+	now := t.eng.Now()
+	t.eng.AbsorbAsOf(now+forkJoinCost, now, t.fork)
 }
 
-// startThreadMachine builds the goroutine-free worker thread tid of one
-// worksharing loop and schedules its start in an engine event at the current
-// instant — the exact position the literal thread's spawn resume occupied.
-// Every subsequent step (grab service completion, chunk completion, the
-// barrier-signalling sleep, finish bookkeeping and the master wake-up) fires
-// at the literal (time, scheduling-time) event keys of the process-driven
-// thread body, so shared loop state, noise draws and visit order are
-// byte-identical; only the goroutine disappears.
-func (t *Team) startThreadMachine(f For, st *loopState, finish []sim.Time, done []bool, join *sim.WaitQueue, chunks *int, tid int) {
+// entry returns thread tid's start step for the loop in flight.
+func (t *Team) entry(tid int) func() {
+	if t.f.Schedule == ScheduleStatic {
+		return t.machines[tid].static
+	}
+	return t.machines[tid].dynamic
+}
+
+// newThread builds thread tid's machine. Every step fires at the (time,
+// scheduling-time) key of the matching wake-up of a blocking thread body —
+// grab, execute, signal the barrier, wait for the join — so shared loop
+// state, noise draws and visit order follow that body's event order
+// exactly.
+func (t *Team) newThread(tid int) *thread {
 	eng := t.eng
-	var (
-		a, b  int
-		start sim.Time
-	)
+	th := &thread{}
+	// retire records the barrier arrival. The master then joins; a worker
+	// that arrives while the master waits wakes it at the current instant.
 	retire := func() {
-		finish[tid] = eng.Now()
-		done[tid] = true
-		join.WakeAll() // master may be waiting for stragglers
-	}
-	// barrier charges the implicit-barrier signalling cost — the literal
-	// thread's final Sleep — and retires at its wake position.
-	barrier := func() {
 		now := eng.Now()
-		eng.ScheduleAsOf(now+t.Barrier, now, retire)
-	}
-	now := eng.Now()
-	if f.Schedule == ScheduleStatic {
-		// Precomputed split, no chunk-grab port: one event per strip.
-		var step func()
-		exec := func() {
-			if f.Visit != nil {
-				f.Visit(tid, a, b, start, eng.Now())
-			}
-			step()
-		}
-		step = func() {
-			a, b = t.grab(nil, f, st, tid)
-			if a >= b {
-				barrier()
-				return
-			}
-			*chunks++
-			start = eng.Now()
-			d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, eng.Rand())
-			eng.ScheduleAsOf(start+d, start, exec)
-		}
-		eng.ScheduleAsOf(now, now, step)
-		return
-	}
-	// Dynamic-family: the same event chain the process-driven body built,
-	// with the loop-exhaustion unpark feeding the barrier chain directly.
-	var issueGrab func()
-	execEnd := func() {
-		*chunks++
-		if f.Visit != nil {
-			f.Visit(tid, a, b, start, eng.Now())
-		}
-		issueGrab()
-	}
-	grabbed := func() {
-		a, b = t.take(f, st, tid)
-		now := eng.Now()
-		if a >= b {
-			eng.ScheduleAsOf(now, now, barrier)
+		t.finish[tid] = now
+		t.pending--
+		if tid == 0 {
+			t.join()
 			return
 		}
-		start = now
-		d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, eng.Rand())
-		eng.ScheduleAsOf(start+d, start, execEnd)
+		if t.waiting {
+			t.waiting = false
+			eng.ScheduleAsOf(now, now, t.join)
+		}
 	}
-	issueGrab = func() {
+	// barrier charges the implicit-barrier signalling cost.
+	barrier := func() {
+		now := eng.Now()
+		eng.AbsorbAsOf(now+barrierCost, now, retire)
+	}
+	visit := func() {
+		if t.f.Visit != nil {
+			t.f.Visit(tid, th.a, th.b, th.start, eng.Now())
+		}
+	}
+	// execute runs [th.a, th.b) from now and continues with next.
+	execute := func(next func()) {
+		t.chunks++
+		th.start = eng.Now()
+		d := t.cl.ExecTime(t.node, t.f.RangeCost(th.a, th.b), th.start, eng.Rand())
+		eng.AbsorbAsOf(th.start+d, th.start, next)
+	}
+
+	// Static: the precomputed split needs no chunk-grab port.
+	var staticExec func()
+	th.static = func() {
+		th.a, th.b = t.staticNext(th, tid)
+		if th.a >= th.b {
+			barrier()
+			return
+		}
+		execute(staticExec)
+	}
+	staticExec = func() {
+		visit()
+		th.static()
+	}
+
+	// Dynamic family: serve the grab's atomic at the team port, apply the
+	// shared-state update at its completion.
+	var grabbed, dynamicExec func()
+	th.dynamic = func() {
 		now := eng.Now()
 		doneAt := t.atomicPort.ServeAsync(now, t.cl.Mem.LocalAtomic)
-		eng.ScheduleAsOf(now+(doneAt-now), now, grabbed)
+		eng.AbsorbAsOf(now+(doneAt-now), now, grabbed)
 	}
-	eng.ScheduleAsOf(now, now, issueGrab)
+	grabbed = func() {
+		th.a, th.b = t.take(tid)
+		if th.a >= th.b {
+			now := eng.Now()
+			eng.AbsorbAsOf(now, now, barrier)
+			return
+		}
+		execute(dynamicExec)
+	}
+	dynamicExec = func() {
+		visit()
+		th.dynamic()
+	}
+	return th
 }
 
-func allDone(done []bool) bool {
-	for _, d := range done {
-		if !d {
-			return false
-		}
-	}
-	return true
-}
-
-// grab assigns the next chunk [a, b) to thread tid under f's schedule,
-// charging the appropriate runtime cost. a >= b signals loop exhaustion.
-// Dynamic-family schedules serve the grab's atomic at the team port and
-// apply the shared-state update at the service completion (take); the
-// continuation path in ParallelFor performs the same two halves without
-// waking the thread in between.
-func (t *Team) grab(p *sim.Proc, f For, st *loopState, tid int) (int, int) {
-	T := t.threads
-	switch f.Schedule {
-	case ScheduleStatic:
-		// Precomputed contiguous split; zero runtime cost beyond the fork.
-		if f.Chunk > 0 {
-			// static,k: round-robin strips of k; executed as one merged
-			// visit per strip to bound event counts.
-			return t.staticCyclic(st, f, tid)
-		}
-		if st.assignedStatic == nil {
-			st.assignedStatic = make([]bool, T)
-		}
-		if st.assignedStatic[tid] {
+// staticNext returns thread tid's next static range; a >= b signals that
+// the thread's share is exhausted. Plain static hands each thread one
+// contiguous block; static,k hands out round-robin strips of k, one visit
+// per strip to bound event counts.
+func (t *Team) staticNext(th *thread, tid int) (int, int) {
+	f := &t.f
+	if k := f.Chunk; k > 0 {
+		a := th.next
+		if a >= f.N {
 			return f.N, f.N
 		}
-		st.assignedStatic[tid] = true
-		return f.N * tid / T, f.N * (tid + 1) / T
-	case ScheduleDynamic, ScheduleGuided, ScheduleTSS, ScheduleFAC2, ScheduleRandom:
-		t.atomicPort.Serve(p, t.cl.Mem.LocalAtomic)
-		return t.take(f, st, tid)
+		th.next = a + t.threads*k
+		return a, minInt(a+k, f.N)
 	}
-	panic(fmt.Sprintf("openmp: unknown schedule %v", f.Schedule))
+	if th.taken {
+		return f.N, f.N
+	}
+	th.taken = true
+	return f.N * tid / t.threads, f.N * (tid + 1) / t.threads
 }
 
 // take is the post-service half of a dynamic-family chunk grab: it reads
 // and updates the shared loop state at the atomic's completion instant.
-func (t *Team) take(f For, st *loopState, tid int) (int, int) {
+func (t *Team) take(tid int) (int, int) {
+	f, st := &t.f, &t.st
 	T := t.threads
 	if st.next >= f.N {
 		return f.N, f.N
@@ -441,39 +386,9 @@ func (t *Team) take(f For, st *loopState, tid int) (int, int) {
 	return a, st.next
 }
 
-// staticCyclic hands thread tid its full round-robin strip set as one range
-// per call, k iterations at a time in cyclic order. To keep the event count
-// linear in strips (not iterations), each call returns one strip.
-func (t *Team) staticCyclic(st *loopState, f For, tid int) (int, int) {
-	k := f.Chunk
-	T := t.threads
-	if st.cyclicPos == nil {
-		st.cyclicPos = make([]int, T)
-		for i := range st.cyclicPos {
-			st.cyclicPos[i] = i * k
-		}
-	}
-	a := st.cyclicPos[tid]
-	if a >= f.N {
-		return f.N, f.N
-	}
-	b := minInt(a+k, f.N)
-	st.cyclicPos[tid] = a + T*k
-	return a, b
-}
-
 func minInt(a, b int) int {
 	if a < b {
 		return a
 	}
 	return b
-}
-
-// expectedGuidedSteps is a helper for sizing tests: an upper bound on
-// guided,1 scheduling steps for N iterations on T threads.
-func expectedGuidedSteps(n, threads int) int {
-	if n <= 0 {
-		return 0
-	}
-	return threads*int(math.Ceil(math.Log(float64(n))))*2 + threads + 4
 }

@@ -10,6 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
+// runLoop runs f once on a fresh team, from an event at time zero, and
+// returns the loop's result. It checks that the join fires exactly once, at
+// the barrier release.
 func runLoop(t *testing.T, threads int, f For) (ForResult, *Team) {
 	t.Helper()
 	eng := sim.NewEngine(1)
@@ -19,13 +22,49 @@ func runLoop(t *testing.T, threads int, f For) (ForResult, *Team) {
 		t.Fatal(err)
 	}
 	var res ForResult
-	eng.Spawn("master", func(p *sim.Proc) {
-		res = team.ParallelFor(p, f)
+	joins := 0
+	eng.Schedule(0, func() {
+		team.ParallelFor(f, func(r ForResult) {
+			joins++
+			res = r
+			res.ThreadFinish = append([]sim.Time(nil), r.ThreadFinish...)
+			if eng.Now() != r.MaxFinish {
+				t.Errorf("master left the join at %v, barrier released at %v", eng.Now(), r.MaxFinish)
+			}
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if joins != 1 {
+		t.Fatalf("loop joined %d times, want 1", joins)
+	}
 	return res, team
+}
+
+// loops runs k loops of f back to back on team, each started from the
+// previous loop's join, and returns their results.
+func loops(t *testing.T, team *Team, k int, f For) []ForResult {
+	t.Helper()
+	var out []ForResult
+	var next func()
+	next = func() {
+		team.ParallelFor(f, func(r ForResult) {
+			r.ThreadFinish = append([]sim.Time(nil), r.ThreadFinish...)
+			out = append(out, r)
+			if len(out) < k {
+				next()
+			}
+		})
+	}
+	team.eng.Schedule(0, next)
+	if err := team.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != k {
+		t.Fatalf("%d of %d loops joined", len(out), k)
+	}
+	return out
 }
 
 // coverageFor runs the loop and asserts each iteration executes exactly once.
@@ -158,14 +197,18 @@ func TestImplicitBarrierWaits(t *testing.T) {
 		Schedule:  ScheduleStatic,
 		RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
 	}
-	res, team := runLoop(t, threads, f)
+	res, _ := runLoop(t, threads, f)
 	if res.BarrierWait < 6e-3 { // ≈7 threads × ~1ms each
 		t.Fatalf("BarrierWait = %v, want ≈7ms of accumulated idling", res.BarrierWait)
 	}
-	if team.BarrierWait != res.BarrierWait {
-		t.Fatal("team did not accumulate barrier wait")
+	var sum sim.Time
+	for _, fin := range res.ThreadFinish {
+		sum += res.MaxFinish - fin
 	}
-	// Master leaves at the barrier release: its clock equals MaxFinish.
+	if sum != res.BarrierWait {
+		t.Fatalf("BarrierWait = %v, want Σ(MaxFinish − finish) = %v", res.BarrierWait, sum)
+	}
+	// Master leaves at the barrier release (runLoop checks its clock).
 	if res.MaxFinish <= 1e-3 {
 		t.Fatalf("MaxFinish = %v, want > 1ms", res.MaxFinish)
 	}
@@ -270,31 +313,6 @@ func TestExtendedTSSMatchesDLSPackage(t *testing.T) {
 	}
 }
 
-func TestNoWaitSkipsBarrier(t *testing.T) {
-	// Thread 1's static block is heavy; with NoWait, the master (thread 0)
-	// returns without waiting for it.
-	n, threads := 8, 2
-	costs := []float64{1e-6, 1e-6, 1e-6, 1e-6, 1e-3, 1e-3, 1e-3, 1e-3}
-	prof := workload.MustNew("skew", costs)
-	eng := sim.NewEngine(1)
-	cfg := cluster.MiniHPC(1)
-	team, _ := NewTeam(eng, &cfg, 0, threads)
-	var returnedAt sim.Time
-	eng.Spawn("master", func(p *sim.Proc) {
-		team.ParallelFor(p, For{
-			N: n, Schedule: ScheduleStatic, NoWait: true,
-			RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
-		})
-		returnedAt = p.Now()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if returnedAt > 1e-3 {
-		t.Fatalf("NoWait master returned at %v, should not wait for the 4ms thread", returnedAt)
-	}
-}
-
 func TestAtomicContentionSerializes(t *testing.T) {
 	// With zero-cost iterations, dynamic,1 throughput is bounded by the
 	// atomic port: total time ≈ N × LocalAtomic regardless of thread count.
@@ -332,12 +350,13 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestLoopAccounting(t *testing.T) {
-	_, team := coverageFor(t, 4, 500, ScheduleDynamic, 10)
-	if team.Loops != 1 {
-		t.Fatalf("Loops = %d, want 1", team.Loops)
+	// coverageFor's runLoop checks the loop joined exactly once.
+	res, _ := coverageFor(t, 4, 500, ScheduleDynamic, 10)
+	if res.Chunks != 50 {
+		t.Fatalf("Chunks = %d, want 50", res.Chunks)
 	}
-	if team.Chunks != 50 {
-		t.Fatalf("Chunks = %d, want 50", team.Chunks)
+	if len(res.ThreadFinish) != 4 {
+		t.Fatalf("%d thread finish times, want 4", len(res.ThreadFinish))
 	}
 }
 
@@ -346,14 +365,19 @@ func BenchmarkParallelForDynamic(b *testing.B) {
 	cfg := cluster.MiniHPC(1)
 	team, _ := NewTeam(eng, &cfg, 0, 16)
 	prof := workload.Uniform(1<<12, 1e-6, 3e-6, 1)
-	eng.Spawn("master", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			team.ParallelFor(p, For{
-				N: prof.N(), Schedule: ScheduleDynamic,
-				RangeCost: func(x, y int) sim.Time { return prof.Range(x, y) },
-			})
+	f := For{
+		N: prof.N(), Schedule: ScheduleDynamic,
+		RangeCost: func(x, y int) sim.Time { return prof.Range(x, y) },
+	}
+	left := b.N
+	var next func(ForResult)
+	next = func(ForResult) {
+		if left--; left >= 0 {
+			team.ParallelFor(f, next)
 		}
-	})
+	}
+	eng.Schedule(0, func() { next(ForResult{}) })
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := eng.Run(); err != nil {
 		b.Fatal(err)
@@ -366,17 +390,11 @@ func TestRandomScheduleDeterministicPerSeed(t *testing.T) {
 		cfg := cluster.MiniHPC(1)
 		team, _ := NewTeam(eng, &cfg, 0, 4)
 		prof := workload.Uniform(512, 10e-6, 40e-6, 7)
-		var res ForResult
-		eng.Spawn("master", func(p *sim.Proc) {
-			res = team.ParallelFor(p, For{
-				N: 512, Schedule: ScheduleRandom,
-				RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
-			})
+		res := loops(t, team, 1, For{
+			N: 512, Schedule: ScheduleRandom,
+			RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
 		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return res.MaxFinish
+		return res[0].MaxFinish
 	}
 	if run(5) != run(5) {
 		t.Fatal("random schedule not reproducible for a fixed seed")
@@ -398,22 +416,25 @@ func TestSequentialLoopsAccumulate(t *testing.T) {
 	cfg := cluster.MiniHPC(1)
 	team, _ := NewTeam(eng, &cfg, 0, 4)
 	prof := workload.Constant(64, 5e-6)
-	eng.Spawn("master", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			team.ParallelFor(p, For{
-				N: 64, Schedule: ScheduleDynamic, Chunk: 4,
-				RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
-			})
-		}
+	res := loops(t, team, 3, For{
+		N: 64, Schedule: ScheduleDynamic, Chunk: 4,
+		RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	chunks := 0
+	for i, r := range res {
+		chunks += r.Chunks
+		// Each loop forks after the previous one joined.
+		if i > 0 {
+			for tid, fin := range r.ThreadFinish {
+				if fin <= res[i-1].MaxFinish {
+					t.Fatalf("loop %d thread %d finished at %v, before loop %d joined at %v",
+						i, tid, fin, i-1, res[i-1].MaxFinish)
+				}
+			}
+		}
 	}
-	if team.Loops != 3 {
-		t.Fatalf("Loops = %d, want 3", team.Loops)
-	}
-	if team.Chunks != 3*16 {
-		t.Fatalf("Chunks = %d, want 48", team.Chunks)
+	if chunks != 3*16 {
+		t.Fatalf("Chunks = %d, want 48", chunks)
 	}
 }
 
@@ -422,29 +443,30 @@ func TestParallelForPanicsOnMisuse(t *testing.T) {
 	cfg := cluster.MiniHPC(1)
 	team, _ := NewTeam(eng, &cfg, 0, 2)
 	panics := 0
-	eng.Spawn("master", func(p *sim.Proc) {
-		func() {
-			defer func() {
-				if recover() != nil {
-					panics++
-				}
-			}()
-			team.ParallelFor(p, For{N: -1, Schedule: ScheduleStatic,
-				RangeCost: func(a, b int) sim.Time { return 0 }})
+	try := func(f For) {
+		defer func() {
+			if recover() != nil {
+				panics++
+			}
 		}()
-		func() {
-			defer func() {
-				if recover() != nil {
-					panics++
-				}
-			}()
-			team.ParallelFor(p, For{N: 10, Schedule: ScheduleStatic})
-		}()
+		team.ParallelFor(f, func(ForResult) {})
+	}
+	cost := func(a, b int) sim.Time { return 0 }
+	eng.Schedule(0, func() {
+		try(For{N: -1, Schedule: ScheduleStatic, RangeCost: cost})
+		try(For{N: 10, Schedule: ScheduleStatic})
+	})
+	// A second loop while one is in flight.
+	eng.Schedule(0, func() {
+		team.ParallelFor(For{N: 10, Schedule: ScheduleStatic, RangeCost: cost}, func(ForResult) {})
+	})
+	eng.Schedule(0, func() {
+		try(For{N: 10, Schedule: ScheduleStatic, RangeCost: cost})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if panics != 2 {
-		t.Fatalf("%d panics, want 2 (negative N, missing RangeCost)", panics)
+	if panics != 3 {
+		t.Fatalf("%d panics, want 3 (negative N, missing RangeCost, loop in flight)", panics)
 	}
 }

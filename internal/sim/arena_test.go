@@ -14,13 +14,18 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	scenario := func(e *Engine) []Time {
 		var fired []Time
 		for i := 0; i < 3; i++ {
-			i := i
-			e.Spawn("p", func(p *Proc) {
-				for j := 0; j < 4; j++ {
-					p.Sleep(Time(i+1) * Microsecond * Time(j+1))
-					fired = append(fired, p.Now()+Time(e.Rand().Float64())*Nanosecond)
+			i, j := i, 0
+			var step func()
+			step = func() {
+				if j > 0 {
+					fired = append(fired, e.Now()+Time(e.Rand().Float64())*Nanosecond)
 				}
-			})
+				if j++; j <= 4 {
+					now := e.Now()
+					e.AbsorbAsOf(now+Time(i+1)*Microsecond*Time(j), now, step)
+				}
+			}
+			e.Schedule(0, step)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -32,8 +37,8 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	e := NewEngine(7)
 	scenario(e) // dirty the engine with a different seed's run
 	e.Reset(42)
-	if e.Now() != 0 || e.LiveProcs() != 0 || e.ProcsSpawned() != 0 {
-		t.Fatalf("Reset left state: now=%v live=%d spawned=%d", e.Now(), e.LiveProcs(), e.ProcsSpawned())
+	if e.Now() != 0 || e.PushStamp() != 0 {
+		t.Fatalf("Reset left state: now=%v pushes=%d", e.Now(), e.PushStamp())
 	}
 	again := scenario(e)
 	if len(fresh) != len(again) {
@@ -47,7 +52,7 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 }
 
 // TestEngineResetRefusesDirtyEngine pins the safety contract: an engine
-// with pending events or live processes must not be pooled.
+// with pending events must not be pooled.
 func TestEngineResetRefusesDirtyEngine(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(1*Microsecond, func() {})

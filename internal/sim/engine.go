@@ -1,34 +1,32 @@
-// Package sim implements a deterministic, process-oriented discrete-event
-// simulation kernel. Simulated processes are goroutines that run one at a
-// time under the control of an Engine; they advance virtual time by calling
-// blocking primitives such as (*Proc).Sleep or by parking on wait queues.
+// Package sim implements a deterministic discrete-event simulation kernel.
+// An Engine owns a virtual clock and a queue of callbacks keyed by
+// (firing time, scheduling time, sequence); Run pops and executes them on
+// the calling goroutine until the queue drains. Simulated activities are
+// continuation machines: each step runs inside one event and schedules the
+// next, so a simulation owns no goroutines and needs no host
+// synchronization.
 //
 // The kernel guarantees determinism: with the same program and seed, every
 // run produces the same event order and the same virtual timestamps. This is
 // the substrate on which the MPI and OpenMP runtime models are built.
 //
-// The hot path is engineered for throughput (see DESIGN.md §2): the event
-// queue is a value-typed 4-ary min-heap with no interface boxing, the
-// dominant "resume this process" event is a specialized struct field rather
-// than a closure (Sleep/Unpark/Spawn allocate nothing in steady state), and
-// control is handed directly from one process goroutine to the next instead
-// of bouncing through a central scheduler goroutine, halving the host
-// context switches per simulated event.
+// The hot path is engineered for throughput (see DESIGN.md §2): the queue
+// entries are pointer-free 24-byte keys in a sorted gap buffer (a 4-ary
+// min-heap past arrayModeMax), and AbsorbAsOf runs an event inline when it
+// would be the very next one popped, skipping the queue round-trip.
 package sim
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync/atomic"
 )
 
 // ErrInterrupted reports that a run was aborted by an external interrupt
-// flag (SetInterrupt) before the event queue drained. The engine's state is
-// undefined afterwards — parked processes have been reaped by Shutdown, but
-// events may remain queued — so an interrupted engine must be abandoned,
-// never Reset.
+// flag (SetInterrupt) before the event queue drained. Events may remain
+// queued afterwards, so an interrupted engine must be abandoned, never
+// Reset.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 // Time is virtual time in seconds.
@@ -48,9 +46,7 @@ const (
 // the ordering is exactly "equal-time events fire in schedule order" — the
 // property that makes runs reproducible. Carrying born explicitly lets
 // runtime models that replay coalesced activity late (see ScheduleAsOf)
-// re-insert events at the position they would have occupied. The common
-// case — resume a parked process — is encoded by a non-nil p and needs no
-// closure; fn is only set for generic callbacks.
+// re-insert events at the position they would have occupied.
 type event struct {
 	t    Time
 	born Time
@@ -59,16 +55,10 @@ type event struct {
 	// (vs 32 with a uint64) cuts the memmove volume of the sorted-array
 	// queue layout by a quarter. nextSeq guards against wrap-around.
 	seq uint32
-	// pay indexes the engine's payload table. Keeping the heap entries
+	// pay indexes the engine's callback table. Keeping the heap entries
 	// pointer-free makes every shift a barrier-less 24-byte copy, which is
 	// most of what push/pop cost on deep queues.
 	pay int32
-}
-
-// payload carries an event's action: resume p, or call fn.
-type payload struct {
-	p  *Proc
-	fn func()
 }
 
 // eventLess orders events by (time, scheduling time, schedule sequence).
@@ -83,10 +73,8 @@ func eventLess(a, b *event) bool {
 }
 
 // Engine owns the virtual clock and the event queue. All simulated activity
-// is single-threaded from the host's point of view: a single control baton
-// is passed between process goroutines (and the Run caller), so exactly one
-// process runs at any instant and simulated processes may freely share Go
-// memory without host-level synchronization.
+// runs on the goroutine that called Run, one event at a time, so event
+// callbacks may freely share Go memory without host-level synchronization.
 type Engine struct {
 	now Time
 	seq uint32
@@ -111,20 +99,13 @@ type Engine struct {
 	// heap (see push).
 	nextEv  event
 	nextSet bool
-	// pays holds event payloads, indexed by event.pay; free is the slot
+	// pays holds event callbacks, indexed by event.pay; free is the slot
 	// free-list.
-	pays []payload
+	pays []func()
 	free []int32
 
-	// main is the Run caller's wake-up gate: the baton returns here when the
-	// event queue drains (and during Shutdown hand-back).
-	main chan struct{}
-
-	procs    []*Proc
-	live     int
-	rng      *rand.Rand
-	running  bool
-	shutdown bool // finishing procs hand the baton to main, not to dispatch
+	rng     *rand.Rand
+	running bool
 
 	// curBorn is the scheduling time of the event currently being executed
 	// (see EventScheduledAt).
@@ -142,9 +123,8 @@ type Engine struct {
 	// cancellation) and is the only cross-goroutine communication the engine
 	// ever performs; non-interrupted runs are unaffected because the flag is
 	// only read, never written, on the simulation path.
-	interrupt   *atomic.Bool
-	intCount    int
-	interrupted bool
+	interrupt *atomic.Bool
+	intCount  int
 }
 
 // interruptStride is how many events fire between interrupt-flag polls: rare
@@ -163,7 +143,6 @@ func (e *Engine) SetInterrupt(flag *atomic.Bool) {
 // deterministic random source derived from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		main:      make(chan struct{}, 1),
 		rng:       rand.New(rand.NewSource(seed)),
 		arrayMode: true,
 	}
@@ -190,18 +169,18 @@ func (e *Engine) nextSeq() uint32 {
 func (e *Engine) PushStamp() uint32 { return e.pushes }
 
 // Rand exposes the engine's deterministic random source. It must only be
-// used from simulated processes or event callbacks.
+// used from event callbacks.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// alloc stores a payload and returns its slot index.
-func (e *Engine) alloc(p *Proc, fn func()) int32 {
+// alloc stores a callback and returns its slot index.
+func (e *Engine) alloc(fn func()) int32 {
 	if n := len(e.free); n > 0 {
 		i := e.free[n-1]
 		e.free = e.free[:n-1]
-		e.pays[i] = payload{p: p, fn: fn}
+		e.pays[i] = fn
 		return i
 	}
-	e.pays = append(e.pays, payload{p: p, fn: fn})
+	e.pays = append(e.pays, fn)
 	return int32(len(e.pays) - 1)
 }
 
@@ -233,7 +212,7 @@ func (e *Engine) push(ev event) {
 // arrayModeMax bounds the sorted-array layout; beyond it inserts would
 // memmove too much and the queue switches to the heap layout. The bound is
 // sized for large-P sweeps: a P-rank cell keeps roughly one pending event
-// per rank, so 16 nodes × 16 ranks (plus wake-chain marks) still fits the
+// per rank or thread, so 16 nodes × 16 ranks (plus wake-chain marks) still fits the
 // array layout, where pops are free and inserts are short tail memmoves.
 // Genuinely huge queues (the opt-in 64-node stress cells and beyond) spill
 // into the heap, whose O(log n) costs are the safe asymptotic fallback.
@@ -410,7 +389,7 @@ func (e *Engine) Schedule(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.push(event{t: t, seq: e.nextSeq(), born: e.now, pay: e.alloc(nil, fn)})
+	e.push(event{t: t, seq: e.nextSeq(), born: e.now, pay: e.alloc(fn)})
 }
 
 // ScheduleAsOf arranges for fn to run at absolute virtual time t in the
@@ -423,11 +402,8 @@ func (e *Engine) ScheduleAsOf(t, born Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.push(event{t: t, seq: e.nextSeq(), born: born, pay: e.alloc(nil, fn)})
+	e.push(event{t: t, seq: e.nextSeq(), born: born, pay: e.alloc(fn)})
 }
-
-// After schedules fn to run d after the current virtual time.
-func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 
 // absorbDepthMax bounds the nesting depth of inline absorption. Each
 // absorbed event runs in the host stack frame of the event that scheduled
@@ -464,8 +440,8 @@ func (e *Engine) headAfter(t, born Time) bool {
 // other event can interleave, so the simulated event order — and with it
 // every timestamp, RNG draw and trace record — is byte-identical to the
 // scheduled execution. Sequence numbers refine scheduling order only
-// relatively (see sleepInPlace), so the absorbed event not drawing one
-// cannot reorder anything.
+// relatively, so the absorbed event not drawing one cannot reorder
+// anything.
 //
 // Caller contract: the call must be in tail position of the current event —
 // nothing with observable effect may run after AbsorbAsOf returns — because
@@ -476,7 +452,7 @@ func (e *Engine) AbsorbAsOf(t, born Time, fn func()) {
 		t = e.now
 	}
 	if e.absorbOff || e.absorbDepth >= absorbDepthMax || !e.headAfter(t, born) {
-		e.push(event{t: t, seq: e.nextSeq(), born: born, pay: e.alloc(nil, fn)})
+		e.push(event{t: t, seq: e.nextSeq(), born: born, pay: e.alloc(fn)})
 		return
 	}
 	if e.interrupt != nil {
@@ -484,7 +460,7 @@ func (e *Engine) AbsorbAsOf(t, born Time, fn func()) {
 			e.intCount = 0
 			if e.interrupt.Load() {
 				// Unwind through the queue; dispatch will see the flag.
-				e.push(event{t: t, seq: e.nextSeq(), born: born, pay: e.alloc(nil, fn)})
+				e.push(event{t: t, seq: e.nextSeq(), born: born, pay: e.alloc(fn)})
 				return
 			}
 		}
@@ -511,156 +487,48 @@ func (e *Engine) SetAbsorb(on bool) { e.absorbOff = !on }
 // scheduling time.
 func (e *Engine) EventScheduledAt() Time { return e.curBorn }
 
-// sleepInPlace reports whether a resume event (t, born, next seq) for the
-// running process would fire strictly before every pending event, and if so
-// advances the clock to t without touching the heap or the baton. The
-// skipped event is exactly the one dispatch would pop next, so the simulated
-// event order is unchanged; curBorn is set as dispatch would have set it.
-// Sequence numbers refine scheduling order only relatively, so leaving seq
-// untouched cannot reorder anything.
-func (e *Engine) sleepInPlace(t, born Time) bool {
-	if e.nextSet {
-		if e.nextEv.t < t || (e.nextEv.t == t && e.nextEv.born <= born) {
-			return false // an earlier (or tie-winning) event must fire first
-		}
-	} else if len(e.heap) > e.lo {
-		h0 := e.peekMin()
-		if h0.t < t || (h0.t == t && h0.born <= born) {
-			return false
-		}
-	}
-	if t > e.now {
-		e.now = t
-	}
-	e.curBorn = born
-	return true
-}
-
-// scheduleResume arranges for p to be handed the baton at absolute time t.
-// This is the allocation-free fast path beneath Sleep, Unpark and Spawn.
-func (e *Engine) scheduleResume(p *Proc, t Time) {
-	if t < e.now {
-		t = e.now
-	}
-	e.push(event{t: t, seq: e.nextSeq(), born: e.now, pay: e.alloc(p, nil)})
-}
-
-// dispatch advances the simulation until control must move elsewhere: it
-// fires generic callbacks inline on the calling goroutine and, on the first
-// resume event, hands the baton to that process and returns. When the queue
-// drains it hands the baton back to the Run caller. The caller must be the
-// current baton holder and must park (or finish) immediately after.
-func (e *Engine) dispatch() {
-	for e.pending() {
-		if e.interrupt != nil {
-			if e.intCount++; e.intCount >= interruptStride {
-				e.intCount = 0
-				if e.interrupt.Load() {
-					// Abort: pretend the queue drained and hand the baton
-					// back to Run, which sees the flag and shuts down.
-					e.interrupted = true
-					e.main <- struct{}{}
-					return
-				}
-			}
-		}
-		ev := e.pop()
-		pay := e.pays[ev.pay]
-		e.pays[ev.pay] = payload{}
-		e.free = append(e.free, ev.pay)
-		if ev.t > e.now {
-			e.now = ev.t
-		}
-		e.curBorn = ev.born
-		if pay.p != nil {
-			if pay.p.done {
-				continue
-			}
-			pay.p.gate <- struct{}{}
-			return
-		}
-		pay.fn()
-	}
-	e.main <- struct{}{}
-}
-
-// DeadlockError reports that the simulation stopped with live processes but
-// no pending events: every remaining process is parked forever.
-type DeadlockError struct {
-	Now     Time
-	Blocked []string
-}
-
-func (d *DeadlockError) Error() string {
-	return fmt.Sprintf("sim: deadlock at t=%.9f: %d process(es) parked forever: %v",
-		float64(d.Now), len(d.Blocked), d.Blocked)
-}
-
-// Run drives the simulation until the event queue drains. It returns a
-// *DeadlockError if processes remain parked with no event that could wake
-// them; otherwise nil. Run may be called once per engine.
+// Run executes queued events in (time, born, seq) order until the queue
+// drains, and returns nil; it returns ErrInterrupted if the interrupt flag
+// (SetInterrupt) was raised first. Run must not be called re-entrantly.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("sim: Engine.Run called re-entrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.dispatch()
-	<-e.main
-	if e.interrupted {
-		e.interrupted = false
-		e.Shutdown()
-		return ErrInterrupted
-	}
-	if e.live > 0 {
-		d := &DeadlockError{Now: e.now}
-		for _, p := range e.procs {
-			if !p.done {
-				d.Blocked = append(d.Blocked, p.name)
+	for e.pending() {
+		if e.interrupt != nil {
+			if e.intCount++; e.intCount >= interruptStride {
+				e.intCount = 0
+				if e.interrupt.Load() {
+					return ErrInterrupted
+				}
 			}
 		}
-		sort.Strings(d.Blocked)
-		e.Shutdown()
-		return d
+		ev := e.pop()
+		fn := e.pays[ev.pay]
+		e.pays[ev.pay] = nil
+		e.free = append(e.free, ev.pay)
+		if ev.t > e.now {
+			e.now = ev.t
+		}
+		e.curBorn = ev.born
+		fn()
 	}
 	return nil
 }
 
-// Shutdown force-terminates every parked process so that no goroutines leak
-// after a deadlocked or abandoned simulation. It is safe to call after Run.
-func (e *Engine) Shutdown() {
-	e.shutdown = true
-	defer func() { e.shutdown = false }()
-	for _, p := range e.procs {
-		if p.done || !p.parked {
-			continue
-		}
-		p.aborted = true
-		p.gate <- struct{}{}
-		<-e.main
-	}
-}
-
-// LiveProcs reports the number of processes that have been spawned but have
-// not yet finished.
-func (e *Engine) LiveProcs() int { return e.live }
-
-// ProcsSpawned reports how many processes this engine has spawned since it
-// was created or Reset — the goroutine-free executors assert it stays zero.
-func (e *Engine) ProcsSpawned() int { return len(e.procs) }
-
 // Reset reinitializes a drained engine in place so it can run another
 // simulation: the clock returns to zero, the random source is reseeded, and
-// the event queue, payload table and process list empty while keeping their
-// backing capacity. The result is observationally identical to
+// the event queue and callback table empty while keeping their backing
+// capacity. The result is observationally identical to
 // NewEngine(seed) — same clock, same RNG stream, same (t, born, seq) event
 // ordering — which is what lets sweep drivers pool engines across cells
-// (DESIGN.md §8). Reset panics if the previous run left live processes or
-// queued events: such an engine still owns goroutines or pending work and
-// must be abandoned (or Shutdown) instead of reused.
+// (DESIGN.md §8). Reset panics if the previous run left queued events (an
+// interrupted run): such an engine must be abandoned instead of reused.
 func (e *Engine) Reset(seed int64) {
-	if e.running || e.live > 0 || e.pending() {
-		panic("sim: Engine.Reset on an engine with live processes or pending events")
+	if e.running || e.pending() {
+		panic("sim: Engine.Reset on a running engine or one with pending events")
 	}
 	e.now = 0
 	e.seq = 0
@@ -674,9 +542,7 @@ func (e *Engine) Reset(seed int64) {
 	e.nextSet = false
 	e.pays = e.pays[:0]
 	e.free = e.free[:0]
-	e.procs = e.procs[:0]
 	e.rng.Seed(seed)
 	e.interrupt = nil
 	e.intCount = 0
-	e.interrupted = false
 }

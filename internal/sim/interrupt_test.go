@@ -7,33 +7,34 @@ import (
 )
 
 // TestInterruptAbortsRun verifies the external-interrupt contract: a run
-// whose interrupt flag is set stops with ErrInterrupted, reaps its parked
-// processes, and leaks no goroutines.
+// whose interrupt flag is set stops with ErrInterrupted within one polling
+// stride, whether the chain goes through the queue or is absorbed inline.
 func TestInterruptAbortsRun(t *testing.T) {
 	e := NewEngine(1)
 	var flag atomic.Bool
 	e.SetInterrupt(&flag)
 
-	// A self-perpetuating event chain that would run forever, plus a parked
-	// process that only Shutdown can reap.
+	// Two self-perpetuating chains that would run forever: one through the
+	// queue, one absorbed inline.
 	fired := 0
-	var tick func()
+	var tick, spin func()
 	tick = func() {
 		fired++
 		if fired == 2*interruptStride {
 			flag.Store(true)
 		}
-		e.After(1, tick)
+		e.Schedule(e.Now()+1, tick)
+	}
+	spin = func() {
+		now := e.Now()
+		e.AbsorbAsOf(now+0.5, now, spin)
 	}
 	e.Schedule(0, tick)
-	e.Spawn("parked-forever", func(p *Proc) { p.Park() })
+	e.Schedule(0, spin)
 
 	err := e.Run()
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("Run = %v, want ErrInterrupted", err)
-	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("%d live procs after interrupted Run", e.LiveProcs())
 	}
 	if fired < 2*interruptStride || fired > 3*interruptStride {
 		t.Fatalf("fired %d events; interrupt should stop within one stride", fired)
@@ -47,12 +48,16 @@ func TestInterruptUnsetIsHarmless(t *testing.T) {
 		e := NewEngine(7)
 		e.SetInterrupt(flag)
 		var end Time
-		e.Spawn("worker", func(p *Proc) {
-			for i := 0; i < 3*interruptStride; i++ {
-				p.Sleep(0.5)
+		left := 3 * interruptStride
+		var step func()
+		step = func() {
+			if left--; left < 0 {
+				end = e.Now()
+				return
 			}
-			end = p.Now()
-		})
+			e.Schedule(e.Now()+0.5, step)
+		}
+		e.Schedule(0, step)
 		err := e.Run()
 		return end, err
 	}

@@ -1,65 +1,63 @@
 package sim
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // TestSteadyStateSleepAllocatesNothing is the allocation regression gate for
-// the kernel hot path: once an engine and its processes exist, Sleep (and
-// the resume events beneath it) must not allocate. The budget covers only
-// fixed setup (engine, proc, goroutine, heap growth), so it stays constant
-// while the sleep count scales.
+// the kernel hot path: once an engine and its machines exist, a machine's
+// timed step (a queued ScheduleAsOf, or an inline AbsorbAsOf) must not
+// allocate. The budget covers only fixed setup (engine, closures, queue
+// growth), so it stays constant while the step count scales.
 func TestSteadyStateSleepAllocatesNothing(t *testing.T) {
 	const sleeps = 100_000
 	allocs := testing.AllocsPerRun(3, func() {
 		e := NewEngine(1)
 		for i := 0; i < 4; i++ {
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for k := 0; k < sleeps/4; k++ {
-					p.Sleep(Microsecond)
+			left := sleeps / 4
+			absorb := i%2 == 0
+			var step func()
+			step = func() {
+				if left--; left < 0 {
+					return
 				}
-			})
+				now := e.Now()
+				if absorb {
+					e.AbsorbAsOf(now+Microsecond, now, step)
+				} else {
+					e.ScheduleAsOf(now+Microsecond, now, step)
+				}
+			}
+			e.Schedule(0, step)
 		}
 		if err := e.Run(); err != nil {
 			t.Error(err)
 		}
 	})
-	// ~40 fixed allocations observed; anything growing with the sleep count
+	// ~20 fixed allocations observed; anything growing with the step count
 	// would show up as thousands.
 	if allocs > 200 {
-		t.Fatalf("steady-state run allocated %.0f times for %d sleeps; the resume path must be allocation-free", allocs, sleeps)
+		t.Fatalf("steady-state run allocated %.0f times for %d steps; the event path must be allocation-free", allocs, sleeps)
 	}
 }
 
 // TestEqualTimestampFIFOAcrossEventKinds locks in the seq tie-break across
-// the two event representations (specialized resume vs generic callback):
-// events scheduled for the same instant fire strictly in schedule order.
+// the scheduling entry points: Schedule, ScheduleAsOf with born = now, and
+// an AbsorbAsOf that cannot run inline (an equal-key event is queued) all
+// fire strictly in call order at the same instant.
 func TestEqualTimestampFIFOAcrossEventKinds(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	var a, b *Proc
-	a = e.Spawn("a", func(p *Proc) {
-		p.Park()
-		order = append(order, "resume-a")
-	})
-	b = e.Spawn("b", func(p *Proc) {
-		p.Park()
-		order = append(order, "resume-b")
-	})
 	e.Schedule(2, func() {
-		// All four at t=2, interleaving callback and resume events.
-		e.Schedule(2, func() { order = append(order, "fn-1") })
-		a.Unpark()
-		e.Schedule(2, func() { order = append(order, "fn-2") })
-		b.Unpark()
+		e.Schedule(2, func() { order = append(order, "schedule-1") })
+		e.ScheduleAsOf(2, 2, func() { order = append(order, "asof-1") })
+		e.Schedule(2, func() { order = append(order, "schedule-2") })
+		e.AbsorbAsOf(2, 2, func() { order = append(order, "absorb-1") })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"fn-1", "resume-a", "fn-2", "resume-b"}
+	want := []string{"schedule-1", "asof-1", "schedule-2", "absorb-1"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -71,23 +69,28 @@ func TestEqualTimestampFIFOAcrossEventKinds(t *testing.T) {
 }
 
 // TestHeapStressOrdering drives the 4-ary heap through thousands of
-// interleaved pushes and pops with many duplicate timestamps and checks the
-// global (t, seq) order.
+// interleaved pushes and pops with many duplicate timestamps and checks that
+// every event fires exactly once and virtual time never runs backwards.
 func TestHeapStressOrdering(t *testing.T) {
 	e := NewEngine(99)
 	const n = 5000
 	var fired []int
 	seq := 0
+	var last Time
 	// Schedule from inside callbacks too, so the heap churns mid-run.
 	for i := 0; i < n; i++ {
 		i := i
 		tm := Time(e.rng.Intn(50)) // heavy timestamp collisions
 		e.Schedule(tm, func() {
+			if e.Now() < last {
+				t.Fatalf("time ran backwards: %v after %v", e.Now(), last)
+			}
+			last = e.Now()
 			fired = append(fired, i)
 			if i%7 == 0 {
 				j := n + seq
 				seq++
-				e.After(Time(e.rng.Intn(3)), func() { fired = append(fired, j) })
+				e.Schedule(e.Now()+Time(e.rng.Intn(3)), func() { fired = append(fired, j) })
 			}
 		})
 	}
@@ -97,86 +100,12 @@ func TestHeapStressOrdering(t *testing.T) {
 	if len(fired) != n+seq {
 		t.Fatalf("fired %d events, want %d", len(fired), n+seq)
 	}
-	// The first n scheduled callbacks share seq order within equal times;
-	// verify no pair of the originals with the same timestamp inverted.
-	// (Original i was scheduled with seq i+1, so for equal t, order is by i.)
-	// We can't reconstruct t here, so assert the stronger engine-level
-	// property indirectly: time never went backwards during Run, which pop
-	// ordering guarantees; a heap bug would have surfaced as a misfire above
-	// or in TestEqualTimestampFIFOAcrossEventKinds.
-}
-
-// TestShutdownAfterDeadlockLeaksNoGoroutines verifies that a deadlocked
-// simulation's Shutdown reaps every parked process goroutine.
-func TestShutdownAfterDeadlockLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for round := 0; round < 10; round++ {
-		e := NewEngine(1)
-		var q WaitQueue
-		for i := 0; i < 32; i++ {
-			e.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
-				q.Wait(p) // nobody wakes the queue
-			})
+	seen := make([]bool, n+seq)
+	for _, id := range fired {
+		if seen[id] {
+			t.Fatalf("event %d fired twice", id)
 		}
-		err := e.Run()
-		if _, ok := err.(*DeadlockError); !ok {
-			t.Fatalf("Run error = %v, want deadlock", err)
-		}
-		if e.LiveProcs() != 0 {
-			t.Fatalf("LiveProcs = %d after shutdown", e.LiveProcs())
-		}
-	}
-	// Give exited goroutines a moment to be accounted.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+5 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+5 {
-		t.Fatalf("goroutines grew %d -> %d across 10 deadlocked runs", before, after)
-	}
-}
-
-// TestWaitQueueWakeOrderUnderChurn exercises the ring buffer through many
-// grow/wrap cycles and checks strict FIFO wake order.
-func TestWaitQueueWakeOrderUnderChurn(t *testing.T) {
-	e := NewEngine(1)
-	var q WaitQueue
-	var woke []int
-	const workers = 20
-	for i := 0; i < workers; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			for round := 0; round < 5; round++ {
-				// Stagger arrivals so the ring head wraps repeatedly.
-				p.Sleep(Time(i+1+round*workers) * Microsecond)
-				q.Wait(p)
-				woke = append(woke, round*workers+i)
-			}
-		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		for total := 0; total < workers*5; {
-			p.Sleep(200 * Microsecond)
-			for q.Len() > 0 {
-				q.WakeOne()
-				total++
-			}
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(woke) != workers*5 {
-		t.Fatalf("woke %d, want %d", len(woke), workers*5)
-	}
-	// Within each batch the wake order equals arrival order; arrivals are
-	// strictly staggered by the sleep pattern, so the full sequence must be
-	// sorted in arrival order per round: 0..19, 20..39, ...
-	for i, v := range woke {
-		if v != i {
-			t.Fatalf("wake order broken at %d: got %v", i, woke[:i+1])
-		}
+		seen[id] = true
 	}
 }
 
@@ -201,25 +130,83 @@ func TestReentrantRunPanics(t *testing.T) {
 	}
 }
 
-// TestUnparkAt verifies the timed resume primitive, including past-time
-// clamping.
-func TestUnparkAt(t *testing.T) {
+// TestAbsorbAsOfRunsInlineOnlyWhenNext pins AbsorbAsOf's contract: the
+// callback runs inline (no queue insertion) exactly when it would be the
+// next event popped, and is queued otherwise — with the same firing order
+// either way.
+func TestAbsorbAsOfRunsInlineOnlyWhenNext(t *testing.T) {
 	e := NewEngine(1)
-	var woke, woke2 Time
-	s1 := e.Spawn("s1", func(p *Proc) { p.Park(); woke = p.Now() })
-	s2 := e.Spawn("s2", func(p *Proc) { p.Park(); woke2 = p.Now() })
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(5)
-		s1.UnparkAt(9) // future: exact
-		s2.UnparkAt(1) // past: clamps to now
+	var order []string
+	e.Schedule(0, func() {
+		e.Schedule(5, func() { order = append(order, "queued@5") })
+		before := e.PushStamp()
+		e.AbsorbAsOf(3, 0, func() {
+			if e.PushStamp() != before {
+				t.Error("absorbable event went through the queue")
+			}
+			if e.Now() != 3 || e.EventScheduledAt() != 0 {
+				t.Errorf("absorbed event ran at (%v, %v), want (3, 0)", e.Now(), e.EventScheduledAt())
+			}
+			order = append(order, "inline@3")
+			e.AbsorbAsOf(7, 3, func() { order = append(order, "deferred@7") })
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if woke != 9 {
-		t.Fatalf("UnparkAt woke at %v, want 9", woke)
+	want := []string{"inline@3", "queued@5", "deferred@7"}
+	for i := range want {
+		if i >= len(order) || order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
 	}
-	if woke2 != 5 {
-		t.Fatalf("past UnparkAt woke at %v, want clamp to 5", woke2)
+
+	// With absorption off every call is queued, in the same order.
+	e = NewEngine(1)
+	e.SetAbsorb(false)
+	n := 0
+	e.Schedule(0, func() {
+		before := e.PushStamp()
+		e.AbsorbAsOf(1, 0, func() {
+			if e.PushStamp() == before {
+				t.Error("absorption ran inline while disabled")
+			}
+			n++
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Fatalf("absorbed callback ran %d times, want 1", n)
+	}
+}
+
+// TestAbsorbDepthBounded checks that an unbounded contention-free chain
+// unwinds through the queue every absorbDepthMax steps instead of growing
+// the host stack without limit.
+func TestAbsorbDepthBounded(t *testing.T) {
+	e := NewEngine(1)
+	const steps = 10 * absorbDepthMax
+	left, maxDepth := steps, 0
+	var step func()
+	step = func() {
+		if e.absorbDepth > maxDepth {
+			maxDepth = e.absorbDepth
+		}
+		if left--; left > 0 {
+			now := e.Now()
+			e.AbsorbAsOf(now+1, now, step)
+		}
+	}
+	e.Schedule(0, step)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if left != 0 || e.Now() != steps-1 {
+		t.Fatalf("chain ended at t=%v with %d steps left", e.Now(), left)
+	}
+	if maxDepth != absorbDepthMax {
+		t.Fatalf("max absorb depth %d, want %d", maxDepth, absorbDepthMax)
 	}
 }

@@ -1,113 +1,22 @@
 package sim
 
-// Mutex is a simulated FIFO mutex: contending processes are granted the lock
-// in arrival order. It models a fair lock with zero intrinsic cost; callers
-// add explicit Sleep costs around it when the protocol being modelled has
-// them.
-type Mutex struct {
-	held    bool
-	waiters WaitQueue
-}
-
-// Lock blocks p until the mutex is free and p is at the head of the queue.
-func (m *Mutex) Lock(p *Proc) {
-	for m.held {
-		m.waiters.Wait(p)
-	}
-	m.held = true
-}
-
-// TryLock acquires the mutex if it is free, reporting whether it did.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
-}
-
-// Unlock releases the mutex and wakes the next waiter, if any. Unlocking a
-// free mutex panics.
-func (m *Mutex) Unlock() {
-	if !m.held {
-		panic("sim: Unlock of unlocked Mutex")
-	}
-	m.held = false
-	m.waiters.WakeOne()
-}
-
-// Held reports whether the mutex is currently held.
-func (m *Mutex) Held() bool { return m.held }
-
 // Server is a single FIFO service station: requests are serviced one at a
 // time, each occupying the server for its service duration. It models
-// serialization points such as a NIC, an RMA window's host port, or a memory
-// controller. Waiting time under load emerges from the queue.
+// serialization points such as an RMA window's host port or a shared cache
+// line. Waiting time under load emerges from the queue.
 type Server struct {
 	busyUntil Time
-	busyTime  Time // cumulative busy (service) time, for utilization metrics
-	served    int64
 }
 
-// Serve blocks p until the server has completed all earlier requests and
-// then p's own request of the given service duration. It returns the time p
-// spent waiting before service began.
-func (s *Server) Serve(p *Proc, service Time) Time {
-	e := p.eng
-	start := e.now
-	if s.busyUntil < e.now {
-		s.busyUntil = e.now
-	}
-	begin := s.busyUntil
-	s.busyUntil += service
-	s.busyTime += service
-	s.served++
-	p.Sleep(s.busyUntil - e.now)
-	return begin - start
-}
-
-// ServeAsync reserves service time on the server without blocking the
-// caller, returning the virtual time at which the request completes. It
-// models DMA-style offloaded work (e.g. an eager message landing in a remote
-// mailbox while the sender continues).
+// ServeAsync reserves service time for a request arriving at now, behind
+// every earlier reservation, and returns the virtual time at which it
+// completes. A requester that waits for its own service schedules its
+// continuation at now+(done−now) with born now — the position of a literal
+// sleep through the queueing delay and the service.
 func (s *Server) ServeAsync(now Time, service Time) Time {
 	if s.busyUntil < now {
 		s.busyUntil = now
 	}
 	s.busyUntil += service
-	s.busyTime += service
-	s.served++
 	return s.busyUntil
 }
-
-// BusyTime reports the cumulative service time performed by the server.
-func (s *Server) BusyTime() Time { return s.busyTime }
-
-// Served reports the number of completed service requests.
-func (s *Server) Served() int64 { return s.served }
-
-// Semaphore is a counting semaphore with FIFO wakeup.
-type Semaphore struct {
-	count   int
-	waiters WaitQueue
-}
-
-// NewSemaphore returns a semaphore holding n permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{count: n} }
-
-// Acquire blocks p until a permit is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.count == 0 {
-		s.waiters.Wait(p)
-	}
-	s.count--
-}
-
-// Release returns a permit and wakes one waiter if present.
-func (s *Semaphore) Release() {
-	s.count++
-	s.waiters.WakeOne()
-}
-
-// Available reports the current number of permits.
-func (s *Semaphore) Available() int { return s.count }

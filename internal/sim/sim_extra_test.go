@@ -1,91 +1,21 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 )
 
-func TestAfterSchedulesRelative(t *testing.T) {
-	e := NewEngine(1)
-	var at Time
-	e.Schedule(5, func() {
-		e.After(2.5, func() { at = e.Now() })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 7.5 {
-		t.Fatalf("After fired at %v, want 7.5", at)
-	}
-}
-
-func TestEventCallbackCanSpawn(t *testing.T) {
-	e := NewEngine(1)
-	var done Time
-	e.Schedule(3, func() {
-		e.Spawn("late", func(p *Proc) {
-			p.Sleep(1)
-			done = p.Now()
-		})
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 4 {
-		t.Fatalf("late proc finished at %v, want 4", done)
-	}
-}
-
-func TestUnparkFinishedProcPanics(t *testing.T) {
-	e := NewEngine(1)
-	var p *Proc
-	p = e.Spawn("short", func(*Proc) {})
-	e.Schedule(1, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Unpark of finished proc did not panic")
-			}
-		}()
-		p.Unpark()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProcIdentity(t *testing.T) {
-	e := NewEngine(1)
-	var ids []int
-	for i := 0; i < 3; i++ {
-		p := e.Spawn(fmt.Sprintf("p%d", i), func(pr *Proc) {
-			if pr.Engine() != e {
-				t.Error("Engine() wrong")
-			}
-		})
-		ids = append(ids, p.ID())
-		if p.Name() != fmt.Sprintf("p%d", i) {
-			t.Fatalf("Name = %q", p.Name())
-		}
-	}
-	if ids[0] == ids[1] || ids[1] == ids[2] {
-		t.Fatalf("IDs not unique: %v", ids)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestMassiveProcCount runs 4096 simulated processes — continuation chains
+// with interleaved sleeps — to stress the queue's heap layout.
 func TestMassiveProcCount(t *testing.T) {
-	// 4096 procs with interleaved sleeps: stresses the heap and handoff.
 	e := NewEngine(1)
 	finished := 0
 	for i := 0; i < 4096; i++ {
 		d := Time(i%17+1) * Microsecond
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for k := 0; k < 5; k++ {
-				p.Sleep(d)
+		k := 0
+		sleeps(e, []Time{d, d, d, d, d}, func() {
+			if k++; k == 6 {
+				finished++
 			}
-			finished++
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -94,33 +24,17 @@ func TestMassiveProcCount(t *testing.T) {
 	if finished != 4096 {
 		t.Fatalf("finished = %d", finished)
 	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d", e.LiveProcs())
+	var want Time // the slowest chain: five sleeps of 17µs
+	for k := 0; k < 5; k++ {
+		want += 17 * Microsecond
+	}
+	if e.Now() != want {
+		t.Fatalf("clock ended at %v, want %v", e.Now(), want)
 	}
 }
 
 func TestDurationConstants(t *testing.T) {
 	if Second != 1 || Millisecond != 1e-3 || Microsecond != 1e-6 || Nanosecond != 1e-9 {
 		t.Fatal("duration constants wrong")
-	}
-}
-
-func TestSemaphoreBlocksAtZero(t *testing.T) {
-	e := NewEngine(1)
-	sem := NewSemaphore(0)
-	var acquired Time
-	e.Spawn("waiter", func(p *Proc) {
-		sem.Acquire(p)
-		acquired = p.Now()
-	})
-	e.Spawn("releaser", func(p *Proc) {
-		p.Sleep(2)
-		sem.Release()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if acquired != 2 {
-		t.Fatalf("acquired at %v, want 2", acquired)
 	}
 }

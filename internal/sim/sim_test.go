@@ -63,16 +63,28 @@ func TestSchedulePastClampsToNow(t *testing.T) {
 	}
 }
 
+// sleeps runs a simulated process as a continuation chain: it calls
+// visit, then sleeps each duration in turn (a step scheduled at now+d with
+// born now), calling visit after every wake-up.
+func sleeps(e *Engine, durs []Time, visit func()) {
+	i := 0
+	var step func()
+	step = func() {
+		visit()
+		if i < len(durs) {
+			d := durs[i]
+			i++
+			now := e.Now()
+			e.ScheduleAsOf(now+d, now, step)
+		}
+	}
+	e.Schedule(e.Now(), step)
+}
+
 func TestProcSleepAdvancesTime(t *testing.T) {
 	e := NewEngine(1)
 	var at []Time
-	e.Spawn("a", func(p *Proc) {
-		at = append(at, p.Now())
-		p.Sleep(1.5)
-		at = append(at, p.Now())
-		p.Sleep(0.25)
-		at = append(at, p.Now())
-	})
+	sleeps(e, []Time{1.5, 0.25}, func() { at = append(at, e.Now()) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +103,10 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			name := fmt.Sprintf("p%d", i)
 			d := Time(i+1) * 0.1
-			e.Spawn(name, func(p *Proc) {
-				for k := 0; k < 3; k++ {
-					p.Sleep(d)
-					log = append(log, fmt.Sprintf("%s@%.2f", p.Name(), float64(p.Now())))
+			k := 0
+			sleeps(e, []Time{d, d, d}, func() {
+				if k++; k > 1 {
+					log = append(log, fmt.Sprintf("%s@%.2f", name, float64(e.Now())))
 				}
 			})
 		}
@@ -114,18 +126,24 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// TestZeroAndNegativeSleepYields checks that a zero or negative delay is a
+// reschedule point: the step fires at the current instant (negative times
+// clamp to now), behind every event already queued for it.
 func TestZeroAndNegativeSleepYields(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.Spawn("a", func(p *Proc) {
+	e.Schedule(0, func() {
 		order = append(order, "a1")
-		p.Sleep(0)
-		order = append(order, "a2")
+		e.ScheduleAsOf(e.Now(), e.Now(), func() { order = append(order, "a2") })
 	})
-	e.Spawn("b", func(p *Proc) {
+	e.Schedule(0, func() {
 		order = append(order, "b1")
-		p.Sleep(-5)
-		order = append(order, "b2")
+		e.ScheduleAsOf(e.Now()-5, e.Now(), func() {
+			if e.Now() != 0 {
+				t.Errorf("negative sleep woke at %v, want 0", e.Now())
+			}
+			order = append(order, "b2")
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -138,146 +156,34 @@ func TestZeroAndNegativeSleepYields(t *testing.T) {
 	}
 }
 
-func TestParkUnpark(t *testing.T) {
+// TestScheduleAsOfOrdersByBorn pins the replay position of ScheduleAsOf: at
+// equal firing time, an event born earlier fires before one born later,
+// regardless of the order the two were scheduled in.
+func TestScheduleAsOfOrdersByBorn(t *testing.T) {
 	e := NewEngine(1)
-	var woke Time
-	var sleeper *Proc
-	sleeper = e.Spawn("sleeper", func(p *Proc) {
-		p.Park()
-		woke = p.Now()
-	})
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(2)
-		sleeper.Unpark()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != 2 {
-		t.Fatalf("sleeper woke at %v, want 2", woke)
-	}
-}
-
-func TestWaitQueueFIFO(t *testing.T) {
-	e := NewEngine(1)
-	var q WaitQueue
 	var order []string
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("w%d", i)
-		delay := Time(i) * 0.1
-		e.Spawn(name, func(p *Proc) {
-			p.Sleep(delay)
-			q.Wait(p)
-			order = append(order, p.Name())
-		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(1)
-		for q.Len() > 0 {
-			q.WakeOne()
-			p.Sleep(0.01)
-		}
+	e.Schedule(4, func() {
+		e.ScheduleAsOf(6, 4, func() { order = append(order, "born@4") })
+		e.ScheduleAsOf(6, 1, func() { order = append(order, "born@1") })
+		e.ScheduleAsOf(6, 4, func() { order = append(order, "born@4-later") })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"w0", "w1", "w2"}
+	want := []string{"born@1", "born@4", "born@4-later"}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("wake order = %v, want %v", order, want)
+			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
 }
 
-func TestWaitQueueWakeAll(t *testing.T) {
-	e := NewEngine(1)
-	var q WaitQueue
-	woken := 0
-	for i := 0; i < 5; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			q.Wait(p)
-			woken++
-		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(1)
-		if n := q.WakeAll(); n != 5 {
-			t.Errorf("WakeAll woke %d, want 5", n)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woken != 5 {
-		t.Fatalf("woken = %d, want 5", woken)
-	}
-}
-
-func TestMutexMutualExclusionAndFIFO(t *testing.T) {
-	e := NewEngine(1)
-	var m Mutex
-	inside := 0
-	maxInside := 0
-	var order []string
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("p%d", i)
-		delay := Time(i) * 0.01
-		e.Spawn(name, func(p *Proc) {
-			p.Sleep(delay)
-			m.Lock(p)
-			order = append(order, p.Name())
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(1) // hold across virtual time
-			inside--
-			m.Unlock()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 1 {
-		t.Fatalf("max concurrent holders = %d, want 1", maxInside)
-	}
-	want := []string{"p0", "p1", "p2", "p3"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("grant order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestMutexTryLock(t *testing.T) {
-	e := NewEngine(1)
-	var m Mutex
-	e.Spawn("a", func(p *Proc) {
-		if !m.TryLock() {
-			t.Error("first TryLock failed")
-		}
-		if m.TryLock() {
-			t.Error("second TryLock succeeded while held")
-		}
-		m.Unlock()
-		if !m.TryLock() {
-			t.Error("TryLock after Unlock failed")
-		}
-		m.Unlock()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnlockUnheldPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unlock of unheld mutex did not panic")
-		}
-	}()
-	var m Mutex
-	m.Unlock()
+// serve reserves service on s for a request arriving now and schedules
+// done at the completion, the way the runtime models wait for a port.
+func serve(e *Engine, s *Server, service Time, done func()) {
+	now := e.Now()
+	fin := s.ServeAsync(now, service)
+	e.ScheduleAsOf(now+(fin-now), now, done)
 }
 
 func TestServerSerializesRequests(t *testing.T) {
@@ -285,9 +191,8 @@ func TestServerSerializesRequests(t *testing.T) {
 	var s Server
 	var finish []Time
 	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-			s.Serve(p, 2)
-			finish = append(finish, p.Now())
+		e.Schedule(0, func() {
+			serve(e, &s, 2, func() { finish = append(finish, e.Now()) })
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -299,23 +204,18 @@ func TestServerSerializesRequests(t *testing.T) {
 			t.Fatalf("finish times = %v, want %v", finish, want)
 		}
 	}
-	if s.BusyTime() != 6 {
-		t.Fatalf("BusyTime = %v, want 6", s.BusyTime())
-	}
-	if s.Served() != 3 {
-		t.Fatalf("Served = %d, want 3", s.Served())
-	}
 }
 
 func TestServerIdleGapDoesNotAccumulate(t *testing.T) {
 	e := NewEngine(1)
 	var s Server
 	var second Time
-	e.Spawn("a", func(p *Proc) {
-		s.Serve(p, 1) // finishes at t=1
-		p.Sleep(9)    // server idle 1..10
-		s.Serve(p, 1) // must finish at 11, not 2+...
-		second = p.Now()
+	e.Schedule(0, func() {
+		serve(e, &s, 1, func() { // finishes at t=1
+			e.Schedule(e.Now()+9, func() { // server idle 1..10
+				serve(e, &s, 1, func() { second = e.Now() }) // at 11, not 2+...
+			})
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -325,18 +225,14 @@ func TestServerIdleGapDoesNotAccumulate(t *testing.T) {
 	}
 }
 
+// TestServerReportsWaitTime checks the queueing delay a request sees: its
+// service begins when every earlier reservation has completed.
 func TestServerReportsWaitTime(t *testing.T) {
-	e := NewEngine(1)
 	var s Server
 	var waits []Time
 	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-			w := s.Serve(p, 5)
-			waits = append(waits, w)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+		done := s.ServeAsync(0, 5)
+		waits = append(waits, done-5)
 	}
 	want := []Time{0, 5, 10}
 	for i := range want {
@@ -356,92 +252,6 @@ func TestServeAsync(t *testing.T) {
 	}
 	if got := s.ServeAsync(100, 1); got != 101 {
 		t.Fatalf("idle-gap async completion = %v, want 101", got)
-	}
-}
-
-func TestSemaphore(t *testing.T) {
-	e := NewEngine(1)
-	sem := NewSemaphore(2)
-	inside, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			sem.Acquire(p)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(1)
-			inside--
-			sem.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if sem.Available() != 2 {
-		t.Fatalf("final permits = %d, want 2", sem.Available())
-	}
-}
-
-func TestDeadlockDetection(t *testing.T) {
-	e := NewEngine(1)
-	e.Spawn("stuck", func(p *Proc) {
-		p.Park() // nobody will Unpark
-	})
-	err := e.Run()
-	de, ok := err.(*DeadlockError)
-	if !ok {
-		t.Fatalf("Run error = %v, want *DeadlockError", err)
-	}
-	if len(de.Blocked) != 1 || de.Blocked[0] != "stuck" {
-		t.Fatalf("Blocked = %v, want [stuck]", de.Blocked)
-	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs after shutdown = %d, want 0", e.LiveProcs())
-	}
-}
-
-func TestShutdownReleasesNestedWaiters(t *testing.T) {
-	e := NewEngine(1)
-	var m Mutex
-	e.Spawn("holder", func(p *Proc) {
-		m.Lock(p)
-		p.Park() // hold forever
-	})
-	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("waiter%d", i), func(p *Proc) {
-			p.Sleep(1)
-			m.Lock(p)
-		})
-	}
-	err := e.Run()
-	if _, ok := err.(*DeadlockError); !ok {
-		t.Fatalf("Run error = %v, want deadlock", err)
-	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d, want 0 after shutdown", e.LiveProcs())
-	}
-}
-
-func TestSpawnFromProc(t *testing.T) {
-	e := NewEngine(1)
-	var childAt Time
-	e.Spawn("parent", func(p *Proc) {
-		p.Sleep(3)
-		e.Spawn("child", func(c *Proc) {
-			c.Sleep(1)
-			childAt = c.Now()
-		})
-		p.Sleep(10)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if childAt != 4 {
-		t.Fatalf("child finished at %v, want 4", childAt)
 	}
 }
 
@@ -490,16 +300,13 @@ func TestQuickVirtualTimeMonotonic(t *testing.T) {
 			for j := range durs {
 				durs[j] = Time(rng.Float64())
 			}
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				prev := p.Now()
-				for _, d := range durs {
-					p.Sleep(d)
-					if p.Now() < prev {
-						ok = false
-					}
-					prev = p.Now()
+			prev := Time(0)
+			sleeps(e, durs, func() {
+				if e.Now() < prev {
+					ok = false
 				}
-				ends[i] = p.Now()
+				prev = e.Now()
+				ends[i] = e.Now()
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -517,35 +324,45 @@ func TestQuickVirtualTimeMonotonic(t *testing.T) {
 	}
 }
 
-// Property: a Server's total busy time equals the sum of service demands,
-// and completions are spaced at least a service apart.
+// Property: a Server is work-conserving and serial. Requests are served in
+// arrival order; each service interval starts at the later of its arrival
+// and the previous completion, lasts exactly its demand, and never overlaps
+// another — so the busy time equals the sum of the demands.
 func TestQuickServerConservation(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%16) + 1
 		e := NewEngine(seed)
 		rng := rand.New(rand.NewSource(seed))
 		var s Server
+		type req struct{ arrive, demand, done Time }
+		var served []req
 		var total Time
-		demands := make([]Time, n)
-		for i := range demands {
-			demands[i] = Time(rng.Float64() + 0.01)
-			total += demands[i]
-		}
-		var sumServed Time
 		for i := 0; i < n; i++ {
-			d := demands[i]
-			arrive := Time(rng.Float64() * 2)
-			e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-				p.Sleep(arrive)
-				s.Serve(p, d)
-				sumServed += d
+			d := Time(rng.Float64() + 0.01)
+			total += d
+			e.Schedule(Time(rng.Float64()*2), func() {
+				r := req{arrive: e.Now(), demand: d}
+				r.done = s.ServeAsync(r.arrive, d)
+				served = append(served, r)
 			})
 		}
 		if err := e.Run(); err != nil {
 			return false
 		}
+		var busy, prevDone Time
+		for i, r := range served {
+			begin := r.arrive
+			if i > 0 && prevDone > begin {
+				begin = prevDone
+			}
+			if r.done != begin+r.demand {
+				return false
+			}
+			busy += r.done - begin
+			prevDone = r.done
+		}
 		const eps = 1e-12
-		return absT(s.BusyTime()-total) < eps && absT(sumServed-total) < eps
+		return len(served) == n && absT(busy-total) < eps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -561,28 +378,15 @@ func absT(t Time) Time {
 
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1e-6)
+	left := b.N
+	var step func()
+	step = func() {
+		if left--; left > 0 {
+			now := e.Now()
+			e.ScheduleAsOf(now+1e-6, now, step)
 		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
 	}
-}
-
-func BenchmarkEngineManyProcs(b *testing.B) {
-	e := NewEngine(1)
-	const procs = 256
-	per := b.N/procs + 1
-	for i := 0; i < procs; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for k := 0; k < per; k++ {
-				p.Sleep(1e-6)
-			}
-		})
-	}
+	e.Schedule(0, step)
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
