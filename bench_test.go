@@ -8,8 +8,8 @@
 // see workload docs) and prints the series once in the paper's layout.
 // Sweep cells execute on the host-core worker pool, so ns/op reflects the
 // parallel sweep. Regenerate the full-scale numbers with:
-// go run ./cmd/hdlsweep -scale 1. `make bench` records a BENCH_<date>.json
-// perf snapshot (host throughput + cell values); kernel-level costs are
+// go run ./cmd/hdlsweep -scale 1. Host performance is measured by the
+// repo benchmark (perfbench, `make bench`); kernel-level costs are
 // isolated by the BenchmarkKernel* microbenchmarks in internal/sim.
 package repro_test
 

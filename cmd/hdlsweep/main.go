@@ -9,7 +9,7 @@
 //	hdlsweep -scale 1           # full-size workloads (minutes)
 //	hdlsweep -extended          # fill the paper's n/a cells via the
 //	                            # extended (libGOMP-style) OpenMP runtime
-//	hdlsweep -json BENCH_x.json # also write a perf snapshot (see `make bench`)
+//	hdlsweep -json out.json     # also write the cell values as JSON
 //
 // The robustness mode compares inter-node techniques under a scenario
 // (heterogeneous topology × perturbations × synthetic workload) instead of
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -37,29 +36,17 @@ import (
 	"repro/internal/sim"
 )
 
-// benchSnapshot is the schema of the -json perf snapshot: enough to track
-// the simulator's host-side throughput across kernel changes (the BENCH_*
-// trajectory) together with the virtual results it produced.
-type benchSnapshot struct {
-	Date        string  `json:"date"`
-	GoVersion   string  `json:"go_version"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Scale       int     `json:"scale"`
-	Nodes       []int   `json:"nodes"`
-	Figures     []int   `json:"figures"`
-	Cells       int     `json:"cells"`
-	WallSeconds float64 `json:"wall_seconds"`
-	CellsPerSec float64 `json:"cells_per_second"`
-	// VirtualSeconds sums simulated time over all cells: the ratio of
-	// simulated to host time is the kernel's headline throughput metric.
-	VirtualSeconds  float64 `json:"virtual_seconds"`
-	SimPerHostRatio float64 `json:"sim_per_host_ratio"`
-	// CalibScore is the host's single-core integer throughput measured
-	// right after the sweep (cliutil.CalibScore); the bench-trend check
-	// compares cells/second normalized by it, so snapshots stay comparable
-	// across host classes and neighbour load.
-	CalibScore float64            `json:"calib_score,omitempty"`
-	Tables     map[string]float64 `json:"cell_seconds"`
+// sweepResults is the schema of the -json file: the sweep's simulated
+// results and nothing about the host, so the file is a pure function of
+// the flags and two runs byte-compare whole, at any -p. Host performance
+// is measured by perfbench, not here.
+type sweepResults struct {
+	Scale   int   `json:"scale"`
+	Nodes   []int `json:"nodes"`
+	Figures []int `json:"figures"`
+	Cells   int   `json:"cells"`
+	// Tables maps each cell to its simulated parallel time in seconds.
+	Tables map[string]float64 `json:"cell_seconds"`
 	// Robustness carries the scenario sweeps run with -robust.
 	Robustness []*hdls.RobustnessResult `json:"robustness,omitempty"`
 }
@@ -74,7 +61,7 @@ func main() {
 		outDir   = flag.String("out", "", "directory for per-figure CSV files (optional)")
 		quiet    = flag.Bool("q", false, "suppress per-cell progress")
 		withEff  = flag.Bool("eff", false, "also print parallel-efficiency tables")
-		jsonOut  = flag.String("json", "", "write a BENCH_*.json perf snapshot to this path")
+		jsonOut  = flag.String("json", "", "write the sweep results (cell values) as JSON to this path")
 		par      = flag.Int("p", 0, "max concurrent figure cells (0 = all cores)")
 		parallel = flag.Int("parallel", 0, "alias of -p: max concurrent cells (0 = all cores)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -130,14 +117,11 @@ func main() {
 	apps := []hdls.App{hdls.Mandelbrot, hdls.PSIA}
 
 	start := time.Now()
-	snap := benchSnapshot{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      *scale,
-		Nodes:      nodes,
-		Figures:    figures,
-		Tables:     map[string]float64{},
+	res := sweepResults{
+		Scale:   *scale,
+		Nodes:   nodes,
+		Figures: figures,
+		Tables:  map[string]float64{},
 	}
 	for _, fig := range figures {
 		for _, app := range apps {
@@ -157,7 +141,7 @@ func main() {
 				fmt.Println(fr.EfficiencyTable(*scale, 16))
 			}
 			printRatios(fr)
-			recordCells(&snap, fr)
+			recordCells(&res, fr)
 			if *outDir != "" {
 				fatalIf(os.MkdirAll(*outDir, 0o755))
 				name := filepath.Join(*outDir, fmt.Sprintf("figure%d_%s.csv", fig, strings.ToLower(app.String())))
@@ -166,24 +150,22 @@ func main() {
 			}
 		}
 	}
-	wall := time.Since(start).Seconds()
-	fmt.Printf("sweep complete in %.1fs\n", wall)
+	fmt.Printf("sweep complete in %.1fs\n", time.Since(start).Seconds())
 	if *jsonOut != "" {
-		snap.WallSeconds = wall
-		if wall > 0 {
-			snap.CellsPerSec = float64(snap.Cells) / wall
-			snap.SimPerHostRatio = snap.VirtualSeconds / wall
-		}
-		snap.CalibScore = cliutil.CalibScore()
-		buf, err := json.MarshalIndent(&snap, "", "  ")
-		fatalIf(err)
-		fatalIf(os.WriteFile(*jsonOut, append(buf, '\n'), 0o644))
-		fmt.Printf("wrote %s\n", *jsonOut)
+		writeJSON(*jsonOut, &res)
 	}
 }
 
-// recordCells folds one figure's results into the perf snapshot.
-func recordCells(snap *benchSnapshot, fr *hdls.FigureResult) {
+// writeJSON writes the -json results file.
+func writeJSON(path string, res *sweepResults) {
+	buf, err := json.MarshalIndent(res, "", "  ")
+	fatalIf(err)
+	fatalIf(os.WriteFile(path, append(buf, '\n'), 0o644))
+	fmt.Printf("wrote %s\n", path)
+}
+
+// recordCells folds one figure's results into the -json results.
+func recordCells(res *sweepResults, fr *hdls.FigureResult) {
 	for ii, intra := range fr.Intras {
 		for ni, n := range fr.Nodes {
 			for _, ap := range fr.Approaches {
@@ -192,9 +174,8 @@ func recordCells(snap *benchSnapshot, fr *hdls.FigureResult) {
 					continue
 				}
 				key := fmt.Sprintf("fig%d/%s/%v+%v/%dn/%v", fr.Figure, fr.App, fr.Inter, intra, n, ap)
-				snap.Tables[key] = v
-				snap.Cells++
-				snap.VirtualSeconds += v
+				res.Tables[key] = v
+				res.Cells++
 			}
 		}
 	}
@@ -293,28 +274,16 @@ func runRobust(f robustFlags) {
 		fmt.Printf("wrote %s\n", name)
 	}
 	if f.jsonOut != "" {
-		snap := benchSnapshot{
-			Date:       time.Now().UTC().Format("2006-01-02"),
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
+		res := sweepResults{
 			Scale:      f.scale,
 			Robustness: []*hdls.RobustnessResult{rr},
 			Tables:     map[string]float64{},
 		}
 		for _, row := range rr.Rows {
-			snap.Tables[fmt.Sprintf("robust/%s/%s", rr.Scenario, row.Technique)] = row.ParallelTime
-			snap.Cells++
-			snap.VirtualSeconds += row.ParallelTime
+			res.Tables[fmt.Sprintf("robust/%s/%s", rr.Scenario, row.Technique)] = row.ParallelTime
+			res.Cells++
 		}
-		snap.WallSeconds = time.Since(start).Seconds()
-		if snap.WallSeconds > 0 {
-			snap.CellsPerSec = float64(snap.Cells) / snap.WallSeconds
-			snap.SimPerHostRatio = snap.VirtualSeconds / snap.WallSeconds
-		}
-		buf, err := json.MarshalIndent(&snap, "", "  ")
-		fatalIf(err)
-		fatalIf(os.WriteFile(f.jsonOut, append(buf, '\n'), 0o644))
-		fmt.Printf("wrote %s\n", f.jsonOut)
+		writeJSON(f.jsonOut, &res)
 	}
 	fmt.Printf("robustness sweep complete in %.1fs\n", time.Since(start).Seconds())
 }

@@ -103,7 +103,8 @@ type Host struct {
 
 // Calibrate measures the current host: core count plus a ~100ms
 // single-core integer-throughput kernel (cliutil.CalibScore — the same
-// score the BENCH snapshots record, so trend rows stay comparable).
+// score the frozen BENCH snapshots and perfbench record, so trend rows stay
+// comparable).
 func Calibrate() Host {
 	return Host{
 		Cores:     runtime.NumCPU(),
@@ -314,7 +315,7 @@ func loadCase(casesDir, className, caseName string) (*Case, error) {
 		if passes < 1 {
 			return fail(fmt.Errorf("sweep.passes must be >= 1, got %d", s.Passes))
 		}
-		if _, err := GridCells(s.Figures, s.Nodes, s.scale(), s.seed()); err != nil {
+		if _, err := gridCells(s.Figures, s.Nodes, s.scale(), s.seed()); err != nil {
 			return fail(err)
 		}
 	case TargetServe, TargetSoak:
@@ -395,7 +396,7 @@ func readStrictJSON(path string, v any) error {
 
 // cellsFor rebuilds a sweep case's cell list (validated at load time).
 func (s *SweepSpec) cellsFor() []hdls.Config {
-	cells, err := GridCells(s.Figures, s.Nodes, s.scale(), s.seed())
+	cells, err := gridCells(s.Figures, s.Nodes, s.scale(), s.seed())
 	if err != nil { // validated by loadCase; cannot fail here
 		panic(fmt.Sprintf("checks: %v", err))
 	}

@@ -61,6 +61,38 @@ func TestLoadValidation(t *testing.T) {
 			want: `goal rss_max: bad size "512mb"`,
 		},
 		{
+			name:    "rss_max NaN",
+			machine: okMachine,
+			cases: map[string]string{"c": `{
+				"target": "sweep", "sweep": {"figures": [4], "nodes": [2]},
+				"goals": {"rss_max": "NaNB"}}`},
+			want: `goal rss_max: bad size "NaNB"`,
+		},
+		{
+			name:    "rss_max Inf",
+			machine: okMachine,
+			cases: map[string]string{"c": `{
+				"target": "sweep", "sweep": {"figures": [4], "nodes": [2]},
+				"goals": {"rss_max": "InfMiB"}}`},
+			want: `goal rss_max: bad size "InfMiB": overflows int64`,
+		},
+		{
+			name:    "rss_max overflows int64",
+			machine: okMachine,
+			cases: map[string]string{"c": `{
+				"target": "sweep", "sweep": {"figures": [4], "nodes": [2]},
+				"goals": {"rss_max": "1e30GiB"}}`},
+			want: `goal rss_max: bad size "1e30GiB": overflows int64`,
+		},
+		{
+			name:    "rss_max under one byte",
+			machine: okMachine,
+			cases: map[string]string{"c": `{
+				"target": "sweep", "sweep": {"figures": [4], "nodes": [2]},
+				"goals": {"rss_max": "0.5B"}}`},
+			want: `goal rss_max: bad size "0.5B": under 1 byte`,
+		},
+		{
 			name:    "bad duration",
 			machine: okMachine,
 			cases: map[string]string{"c": `{
@@ -147,6 +179,24 @@ func TestLoadValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseSize holds the size parser's contract on arbitrary input: an
+// error, or a limit of at least one byte. Never a wrapped-around int64.
+func FuzzParseSize(f *testing.F) {
+	for _, seed := range []string{
+		"512MiB", "1GiB", "0.5KiB", "4096", "1B", " 2 MiB ",
+		"0.5B", "NaNB", "InfMiB", "-InfB", "1e30GiB", "9223372036854775807B",
+		"512mb", "", "B", "-1KiB", "1e-300GiB",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, err := parseSize(s)
+		if err == nil && v < 1 {
+			t.Fatalf("parseSize(%q) = %d with no error, want >= 1", s, v)
+		}
+	})
 }
 
 // TestUnknownClass pins the named error listing available classes.
@@ -325,33 +375,6 @@ func TestTrendRoundTrip(t *testing.T) {
 	})
 }
 
-// TestRowFromBenchSnapshot converts a committed-snapshot shape into a
-// seed row.
-func TestRowFromBenchSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_2026-08-07.json")
-	snap := `{
-		"date": "2026-08-07", "go_version": "go1.24.0", "calib_score": 707,
-		"cells_per_second": 70.8,
-		"serve_cache": {"cold": {"cells_per_second": 56.4}, "warm_speedup": 442.5}
-	}`
-	if err := os.WriteFile(path, []byte(snap), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	row, err := RowFromBenchSnapshot(path, "bench/figure-grid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Check != "bench/figure-grid" || row.Time != "2026-08-07T00:00:00Z" {
-		t.Errorf("row = %+v", row)
-	}
-	if row.Measured[MetricCellsPerSecond] != 56.4 || row.Measured[MetricWarmSpeedup] != 442.5 {
-		t.Errorf("measured = %v", row.Measured)
-	}
-	if _, err := RowFromBenchSnapshot(filepath.Join(t.TempDir(), "nope.json"), "x"); err == nil {
-		t.Error("missing snapshot accepted")
-	}
-}
-
 // TestRunCaseEndToEnd is the serving-path e2e: real cases executed
 // against an in-process hdlsd, goals evaluated from real /metrics
 // scrapes, the sweep target's replay pass hitting the real store. Runs
@@ -456,11 +479,11 @@ func TestCommittedTree(t *testing.T) {
 	}
 }
 
-// TestGridCellsMatchesBench pins the shared grid enumeration to the
-// 256-cell count every BENCH snapshot records for figures 4-7 over the
-// default node axis.
+// TestGridCellsMatchesBench pins the grid enumeration to the 256-cell
+// count of the paper's figures 4-7 over the default node axis, the grid
+// the frozen BENCH_*.json snapshots record.
 func TestGridCellsMatchesBench(t *testing.T) {
-	cells, err := GridCells([]int{4, 5, 6, 7}, []int{2, 4, 8, 16}, 64, 1)
+	cells, err := gridCells([]int{4, 5, 6, 7}, []int{2, 4, 8, 16}, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,55 +1,14 @@
 package checks
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strconv"
 	"time"
-
-	"repro/internal/serve"
 )
-
-// InProcessExecutor runs cases against an in-process serve.Server behind
-// an httptest listener: the no-daemon fallback the Go tests use, and what
-// `go test ./...` exercises without building cmd/hdlsd. Each case still
-// gets a fresh server and a fresh store, so measurements match the
-// subprocess executor's cold-start semantics; what it cannot reproduce is
-// a daemon dying independently of the harness, which is exactly what the
-// subprocess executor exists to gate.
-type InProcessExecutor struct {
-	// Workers is the per-case worker pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-// Start boots a fresh in-process daemon for the case.
-func (e *InProcessExecutor) Start(c *Case) (*Instance, error) {
-	dir, err := os.MkdirTemp("", "hdlscheck-*")
-	if err != nil {
-		return nil, err
-	}
-	srv, err := serve.NewWithError(serve.Options{Workers: e.Workers, CacheDir: dir})
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, err
-	}
-	ts := httptest.NewServer(srv.Handler())
-	return &Instance{
-		BaseURL: ts.URL,
-		Stop: func() error {
-			ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			err := srv.Drain(ctx)
-			os.RemoveAll(dir)
-			return err
-		},
-	}, nil
-}
 
 // DaemonExecutor runs each case against a freshly exec'd hdlsd subprocess
 // — the dogfooding executor cmd/hdlscheck uses. A fresh daemon per case

@@ -2,6 +2,7 @@ package checks
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -15,7 +16,7 @@ const (
 	// MetricCellsPerSecond is cold-pass sweep throughput (sweep target).
 	MetricCellsPerSecond = "cells_per_second"
 	// MetricWarmSpeedup is the last pass's throughput over the first's
-	// (sweep target with passes >= 2 — the cachebench warm-over-cold gate).
+	// (sweep target with passes >= 2: the warm-over-cold gate).
 	MetricWarmSpeedup = "warm_speedup"
 	// MetricRequestsPerSecond is completed sweeps per second (serve/soak).
 	MetricRequestsPerSecond = "requests_per_second"
@@ -227,7 +228,9 @@ func goalName(metric string, floor bool) string {
 
 // parseSize parses a human byte size: a plain integer (bytes) or an
 // integer/decimal with a B, KiB, MiB or GiB suffix. Unknown units are
-// named in the error — "512mb" fails loudly instead of gating nothing.
+// named in the error — "512mb" fails loudly instead of gating nothing —
+// and so are sizes that are not finite, overflow int64 or come to less
+// than one byte, so a limit never loads as a nonsense number.
 func parseSize(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	mult := int64(1)
@@ -247,10 +250,17 @@ func parseSize(s string) (int64, error) {
 			s, strings.TrimLeft(s, "0123456789. "))
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v <= 0 {
+	if err != nil || math.IsNaN(v) || v <= 0 {
 		return 0, fmt.Errorf("bad size %q (want e.g. \"512MiB\")", s)
 	}
-	return int64(v * float64(mult)), nil
+	bytes := v * float64(mult)
+	if bytes >= math.MaxInt64 { // also +Inf; float64(MaxInt64) rounds to 2^63
+		return 0, fmt.Errorf("bad size %q: overflows int64 bytes", s)
+	}
+	if bytes < 1 {
+		return 0, fmt.Errorf("bad size %q: under 1 byte", s)
+	}
+	return int64(bytes), nil
 }
 
 // trimFloat formats a declared numeric limit compactly for messages.

@@ -40,8 +40,8 @@ type Instance struct {
 
 // Executor provides a fresh live hdlsd per case, so every case starts
 // from a cold store and unpolluted counters. The CLI runs a subprocess
-// daemon (StartDaemon); tests and the no-daemon fallback run an
-// in-process serve.Server behind httptest.
+// daemon (DaemonExecutor); the package tests run an in-process
+// serve.Server behind httptest.
 type Executor interface {
 	Start(c *Case) (*Instance, error)
 }
