@@ -48,13 +48,14 @@ soak:
 	scripts/fleet_soak.sh
 
 # bench measures host performance: the repo benchmark (perfbench, see
-# BENCHMARK.json) over every workload, then the internal/sim kernel
-# microbenchmarks. It writes no file; the committed BENCH_*.json snapshots
+# BENCHMARK.json) over every workload, then the internal/sim kernel and
+# internal/mpi lock-port microbenchmarks. It writes no file; the committed BENCH_*.json snapshots
 # are frozen history. Compare two commits with interleaved perfbench runs,
 # not with one number each.
 bench:
 	bash perfbench/run.sh --workload all
 	$(GO) test ./internal/sim -bench Kernel -benchmem -run '^$$'
+	$(GO) test ./internal/mpi -bench Port -benchmem -run '^$$'
 
 # bench-stress times the opt-in 64-node cells (1024 ranks each) — the
 # large-P extreme kept out of the benchmark workloads because a single

@@ -152,8 +152,7 @@ func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) er
 				r = &Rank{}
 				w.ranks[i] = r
 			}
-			pollerBuf := r.pollerBuf
-			*r = Rank{world: w, rank: i, node: n, core: c, pollerBuf: pollerBuf}
+			*r = Rank{world: w, rank: i, node: n, core: c}
 		}
 	}
 	w.world = newComm(w, 0, size, "world")
@@ -252,20 +251,6 @@ type Rank struct {
 	core  int
 	// retired is set by Retire (see Launch's stall check).
 	retired bool
-
-	// pollerBuf is the rank's reusable lock-poller: a rank has at most one
-	// outstanding lock attempt, so the contended path allocates nothing in
-	// steady state.
-	pollerBuf *poller
-}
-
-// pooledPoller returns the rank's reusable poller; the caller overwrites
-// every field before registering it.
-func (r *Rank) pooledPoller() *poller {
-	if r.pollerBuf == nil {
-		r.pollerBuf = &poller{}
-	}
-	return r.pollerBuf
 }
 
 // Rank returns the world rank number.

@@ -47,18 +47,10 @@ type lockState struct {
 	// fails and the analytic fast-forward parks the attempt at issue without
 	// an engine event (see NewLockCont).
 	relsInFlight int
-
-	// Wake-chain bookkeeping for coalesced polling: when the lock is in a
-	// state some parked poller could acquire, (wakeAt, wakeBorn) is the
-	// earliest pending poll decision and an engine event is scheduled at
-	// that position. See rmaPort.
-	wakeAt   sim.Time
-	wakeBorn sim.Time
-	wakeSet  bool
 }
 
 // rmaPort is one node's window port: the serial RMA service station plus the
-// virtual lock-poller list that coalesces the lock-polling protocol's retry
+// virtual lock-pollers that coalesce the lock-polling protocol's retry
 // storm.
 //
 // In the literal protocol a contended MPI_Win_lock retries every
@@ -74,57 +66,109 @@ type lockState struct {
 // counts and acquisition order are identical to the literal protocol; only
 // the host-event count changes. DESIGN.md §3 gives the equivalence
 // argument.
+//
+// A port serves exactly one lock: every lock issuer contends for its own
+// node's local queue lock, so the first NewLockCont built on the port binds
+// it to that (window, target) and a second, distinct lock panics.
 type rmaPort struct {
 	srv sim.Server
-	// keys is a binary min-heap of pending poll steps ordered by
-	// (at, born, reg): the engine's (time, scheduling-time) event order,
-	// with registration order as the deterministic tie-break — exactly the
-	// order the literal selection scan preferred. Keys are pointer-free so
-	// every sift swap is a barrier-less 24-byte copy; items holds the
-	// pollers in stable slots the keys point at. The heap makes each
-	// replayed step O(log P) instead of a full rescan, and the earliest
-	// pending step is an O(1) peek.
-	keys      []pollerKey
-	items     []*poller
-	freeSlots []int32
-	// byReg holds the same pollers in registration order: reconcilePort must
-	// walk them exactly as the literal slice scan did, because the order in
-	// which wake-chain positions are armed is part of the frozen event
-	// sequence.
-	byReg []*poller
-	// hom is true while every registered poller targets one (win, target)
-	// pair — the common shape (a node's ranks all contend for the one local
-	// queue lock) — letting reconcilePort skip the whole walk with a single
-	// lock-word check when that lock is exclusively held.
-	hom bool
-	// reg is the monotone registration counter behind the tie-break
-	// (32-bit with a wrap guard, matching pollerKey.reg).
-	reg uint32
-	// armW/armT are reconcilePort's arm-once scratch: the locks whose
-	// covering mark improved during the current walk, deduplicated.
-	armW []*Win
-	armT []int
+	// win/target is the bound lock (win is nil until the first NewLockCont).
+	win    *Win
+	target int
+	// backoff holds the parked attempts' pending arrivals at the port,
+	// service their pending checks. Each ring is sorted by (at, born, reg):
+	// the engine's (time, scheduling-time) event order, with registration
+	// order as the deterministic tie-break — exactly the order the literal
+	// selection scan preferred — so the earliest pending step is the lesser
+	// of the two heads. Check times are completions of one FIFO server and
+	// back-offs follow checks, so a step almost always lands at its ring's
+	// tail; an out-of-order one costs a longer insertion scan, never a
+	// different order.
+	backoff, service pollRing
+	// reg is the monotone registration counter behind the tie-break.
+	reg uint64
+	// (wakeAt, wakeBorn) is the armed wake-chain mark: while the lock is free
+	// and a poller is parked, an engine event is scheduled at the earliest
+	// pending poll decision, in that decision's own event position.
+	wakeAt   sim.Time
+	wakeBorn sim.Time
+	wakeSet  bool
 	// checksInFlight counts literal first-check events scheduled on this
-	// port's locks but not yet fired. The analytic fast-forward only parks an
+	// port's lock but not yet fired. The analytic fast-forward only parks an
 	// attempt at issue while it is zero: a pending literal check could
 	// register its poller between this issue and its own (later) check
-	// instant, and registration order — which the frozen wake-arming sequence
-	// depends on — must stay the literal check order.
+	// instant, and registration order — the tie-break of equal poll
+	// positions — must stay the literal check order.
 	checksInFlight int
 }
 
-// pollerKey is a heap entry: the poller's pending-step position plus its
-// stable slot in items.
-type pollerKey struct {
-	at   sim.Time
-	born sim.Time
-	// reg is 32-bit (with a wrap guard at registration): it only breaks
-	// (at, born) ties, and the 24-byte key keeps ring shifts cheap.
-	reg  uint32
-	slot int32
+// reset clears a pooled port for reuse, keeping the rings' capacity.
+func (pt *rmaPort) reset() {
+	pt.backoff.reset()
+	pt.service.reset()
+	*pt = rmaPort{backoff: pt.backoff, service: pt.service}
 }
 
-func keyLess(a, b *pollerKey) bool {
+// bind ties the port to the lock (w, target) that NewLockCont is building an
+// issuer for.
+func (pt *rmaPort) bind(w *Win, target, node int) {
+	if pt.win == nil {
+		pt.win, pt.target = w, target
+		return
+	}
+	if pt.win != w || pt.target != target {
+		panic(fmt.Sprintf("mpi: NewLockCont on %s[%d]: node %d's port already serves lock %s[%d], and a port serves one lock",
+			w.name, target, node, pt.win.name, pt.target))
+	}
+}
+
+// pending reports whether any poll step is registered.
+func (pt *rmaPort) pending() bool { return pt.backoff.n+pt.service.n > 0 }
+
+// park registers a contended lock attempt whose next step is the arrival
+// at `at` of a retry scheduled at born; cont runs at the grant.
+func (pt *rmaPort) park(at, born sim.Time, cont func()) {
+	pt.reg++
+	pt.backoff.insert(pollStep{at: at, born: born, reg: pt.reg, cont: cont})
+}
+
+// root returns the ring holding the earliest pending step, or nil.
+func (pt *rmaPort) root() *pollRing {
+	switch {
+	case pt.service.n == 0:
+		if pt.backoff.n == 0 {
+			return nil
+		}
+		return &pt.backoff
+	case pt.backoff.n == 0 || pt.service.first().before(pt.backoff.first()):
+		return &pt.service
+	}
+	return &pt.backoff
+}
+
+// pollStep is the pending step of one parked lock attempt whose retries are
+// simulated arithmetically. The attempt alternates between two phases,
+// tracked by the ring its step sits in: the next attempt *arriving* at the
+// port (backoff, at = arrival time) and the in-flight attempt *completing
+// and checking* the lock word (service, at = check time). Lock issuers are
+// node-local (NewLockCont), so every phase is a local port round.
+type pollStep struct {
+	at sim.Time
+	// born is the virtual time the step pending at `at` would have been
+	// scheduled in the literal protocol (the previous check for an arrival,
+	// the arrival for a check). Events of equal firing time fire in
+	// scheduling order, so born decides ties between a replayed step and a
+	// real same-instant arrival.
+	born sim.Time
+	reg  uint64 // registration tie-break, assigned by park
+	// cont runs at the grant position, in an event with exactly the
+	// (time, scheduling-time) key the literal winner's resume would have
+	// had.
+	cont func()
+}
+
+// before is the (at, born, reg) order of pending poll steps.
+func (a *pollStep) before(b *pollStep) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -134,141 +178,49 @@ func keyLess(a, b *pollerKey) bool {
 	return a.reg < b.reg
 }
 
-// reset clears a pooled port for reuse, keeping slice capacity.
-func (pt *rmaPort) reset() {
-	pt.srv = sim.Server{}
-	pt.keys = pt.keys[:0]
-	for i := range pt.items {
-		pt.items[i] = nil
-	}
-	pt.items = pt.items[:0]
-	pt.freeSlots = pt.freeSlots[:0]
-	for i := range pt.byReg {
-		pt.byReg[i] = nil
-	}
-	pt.byReg = pt.byReg[:0]
-	pt.reg = 0
-	for i := range pt.armW {
-		pt.armW[i] = nil
-	}
-	pt.armW = pt.armW[:0]
-	pt.armT = pt.armT[:0]
-	pt.checksInFlight = 0
+// pollRing is a circular buffer of poll steps kept sorted by before.
+type pollRing struct {
+	buf  []pollStep // power-of-two length
+	head int
+	n    int
 }
 
-// pending reports whether any poll step is registered.
-func (pt *rmaPort) pending() bool { return len(pt.keys) > 0 }
+// reset empties the ring, keeping its buffer.
+func (r *pollRing) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
 
-// pushPoller registers a new waiter.
-func (pt *rmaPort) pushPoller(pl *poller) {
-	pt.reg++
-	if pt.reg == 0 {
-		panic("mpi: poller registration counter overflow")
+// first returns the earliest step; the ring must not be empty.
+func (r *pollRing) first() *pollStep { return &r.buf[r.head] }
+
+// pop removes the earliest step.
+func (r *pollRing) pop() {
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
+
+// insert adds st in order, scanning back from the tail.
+func (r *pollRing) insert(st pollStep) {
+	if r.n == len(r.buf) {
+		buf := make([]pollStep, max(16, 2*len(r.buf)))
+		for k := 0; k < r.n; k++ {
+			buf[k] = r.buf[(r.head+k)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
 	}
-	pl.reg = pt.reg
-	if len(pt.byReg) == 0 {
-		pt.hom = true
-	} else if pt.hom && (pl.win != pt.byReg[0].win || pl.target != pt.byReg[0].target) {
-		pt.hom = false
-	}
-	pt.byReg = append(pt.byReg, pl)
-	var slot int32
-	if n := len(pt.freeSlots); n > 0 {
-		slot = pt.freeSlots[n-1]
-		pt.freeSlots = pt.freeSlots[:n-1]
-		pt.items[slot] = pl
-	} else {
-		pt.items = append(pt.items, pl)
-		slot = int32(len(pt.items) - 1)
-	}
-	h := append(pt.keys, pollerKey{at: pl.at, born: pl.born, reg: pl.reg, slot: slot})
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !keyLess(&h[i], &h[parent]) {
+	mask := len(r.buf) - 1
+	i := (r.head + r.n) & mask
+	for k := r.n; k > 0; k-- {
+		j := (i - 1) & mask
+		if !st.before(&r.buf[j]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+		r.buf[i] = r.buf[j]
+		i = j
 	}
-	pt.keys = h
-}
-
-// fixRoot re-syncs the root key from its poller (whose pending step
-// advanced) and restores the heap.
-func (pt *rmaPort) fixRoot() {
-	pl := pt.items[pt.keys[0].slot]
-	pt.fixRootTo(pl.at, pl.born)
-}
-
-// fixRootTo is fixRoot with the advanced position passed in, saving the
-// poller reload on the advancePort hot path.
-func (pt *rmaPort) fixRootTo(at, born sim.Time) {
-	h := pt.keys
-	h[0].at, h[0].born = at, born
-	n := len(h)
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && keyLess(&h[r], &h[l]) {
-			m = r
-		}
-		if !keyLess(&h[m], &h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// popRoot removes the earliest pending step from every view.
-func (pt *rmaPort) popRoot() {
-	h := pt.keys
-	slot := h[0].slot
-	pl := pt.items[slot]
-	pt.items[slot] = nil
-	pt.freeSlots = append(pt.freeSlots, slot)
-	n := len(h) - 1
-	h[0] = h[n]
-	pt.keys = h[:n]
-	if n > 0 {
-		pt.fixRoot()
-	}
-	for i, q := range pt.byReg {
-		if q == pl {
-			pt.byReg = append(pt.byReg[:i], pt.byReg[i+1:]...)
-			break
-		}
-	}
-}
-
-// poller is one parked lock attempt whose retries are simulated
-// arithmetically. It alternates between two phases: the next attempt
-// *arriving* at the port (inService false, at = arrival time) and the
-// in-flight attempt *completing and checking* the lock word (inService
-// true, at = check time). Lock issuers are node-local (NewLockCont), so
-// every phase is a local port round.
-type poller struct {
-	win    *Win
-	target int
-	// cont runs at the grant position, in an event with exactly the
-	// (time, scheduling-time) key the literal winner's resume would have
-	// had.
-	cont func()
-
-	inService bool
-	at        sim.Time
-	// born is the virtual time the step pending at `at` would have been
-	// scheduled in the literal protocol (the previous check for an arrival,
-	// the arrival for a check). Events of equal firing time fire in
-	// scheduling order, so born decides ties between a replayed step and a
-	// real same-instant arrival.
-	born sim.Time
-	reg  uint32 // registration tie-break, assigned by pushPoller
+	r.buf[i] = st
+	r.n++
 }
 
 // advancePort replays pending virtual poll steps on node's port in
@@ -283,39 +235,39 @@ type poller struct {
 // lock-state change (so every check resolves against the state that held
 // at its own virtual time). Grants resolve exactly at their check time and
 // position: the wake chain guarantees an engine event fires there, so
-// eng.Now() == pl.at.
+// eng.Now() equals the check time.
 func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advanced bool) {
 	pt := w.memPort[node]
 	mem := &w.cfg.Mem
-	for pt.pending() {
-		// Bail out on the root KEY alone — the hot exit skips the poller
-		// indirection entirely.
-		k0 := &pt.keys[0]
-		if k0.at > t || (k0.at == t && (k0.born > bornLimit || (k0.born == bornLimit && !incl))) {
+	for {
+		ring := pt.root()
+		if ring == nil {
 			return
 		}
-		best := pt.items[k0.slot]
+		best := *ring.first()
+		if best.at > t || (best.at == t && (best.born > bornLimit || (best.born == bornLimit && !incl))) {
+			return
+		}
+		ring.pop()
 		advanced = true
-		if !best.inService {
+		if ring == &pt.backoff {
 			// The retry reaches the port: consume serial service exactly as
 			// the literal port round would, then wait for the check moment.
 			done := pt.srv.ServeAsync(best.at, mem.LockAttempt)
-			best.win.LockAttempts++
-			best.inService = true
+			pt.win.LockAttempts++
 			// Mirror the literal Serve bit-for-bit: the waiting rank would
 			// have slept (done − now) from now, so its check is at
 			// at + (done − at), which floating point does not guarantee to
 			// equal done; the check event is scheduled at the arrival.
 			best.born, best.at = best.at, best.at+(done-best.at)
-			pt.fixRootTo(best.at, best.born)
+			pt.service.insert(best)
 			continue
 		}
 		// The attempt completes: check the lock word at its own timestamp.
-		ls := &best.win.locks[best.target]
+		ls := &pt.win.locks[pt.target]
 		if !ls.excl {
 			ls.excl = true
-			best.win.LockAcquisitions++
-			pt.popRoot()
+			pt.win.LockAcquisitions++
 			// Resume the winner at its check time, in the position the
 			// literal check event (scheduled at the attempt's arrival)
 			// would have fired, so everything it schedules next gets the
@@ -325,14 +277,13 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 			// position of the wake event this replay runs in (incl callers
 			// pass their own position), the literal grant event would fire
 			// immediately after the wake completes — nothing can interpose
-			// at the same (time, born) key, since on a homogeneous port no
-			// second wake can cover the same position (reconcilePort never
-			// re-arms an identical one). Hold the continuation instead; the
-			// wake runs it after reconciliation, where eng.Now() and
-			// EventScheduledAt() already equal the grant position. A
-			// homogeneous port serves one exclusive lock, so a replay grants
-			// at most once and the slot is free here.
-			if incl && best.at == t && best.born == bornLimit && pt.hom && fastFwd.Load() {
+			// at the same (time, born) key, since no second wake can cover
+			// the same position (reconcilePort never re-arms an identical
+			// one). Hold the continuation instead; the wake runs it after
+			// reconciliation, where eng.Now() and EventScheduledAt() already
+			// equal the grant position. The port serves one exclusive lock,
+			// so a replay grants at most once and the slot is free here.
+			if incl && best.at == t && best.born == bornLimit && fastFwd.Load() {
 				w.inlineGrant = best.cont
 			} else {
 				w.eng.ScheduleAsOf(best.at, best.born, best.cont)
@@ -341,99 +292,63 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 		}
 		// Failed: back off PollInterval and retry; the next arrival is the
 		// back-off sleep's wake-up, scheduled at the check.
-		best.inService = false
 		best.born = best.at
 		best.at += mem.PollInterval
-		pt.fixRootTo(best.at, best.born)
+		pt.backoff.insert(best)
 	}
-	return advanced
 }
 
-// reconcilePort re-establishes the wake-chain invariant after the port or a
-// lock hosted on it changed: for every lock with a parked poller that could
-// acquire it in the current state, an engine event is scheduled at the
-// earliest such poll decision, in that decision's own event position. Stale
-// wake events (the state changed again first) fire harmlessly: they just
-// advance and reconcile again.
+// reconcilePort re-establishes the wake-chain invariant after the port or
+// its lock changed: while the lock is free and a poller is parked, an engine
+// event is scheduled at the earliest pending poll decision, in that
+// decision's own event position. Only a mark earlier than the armed one
+// needs a new event — the literal protocol's superseded wake-ups carry no
+// observable state of their own: a stale wake only advances the port to its
+// position, and every replayed poll step is position-exact arithmetic that
+// yields the same timestamps and counters whichever trigger drives it.
+// Stale wake events (the state changed again first) fire harmlessly: they
+// just advance and reconcile again.
 func (w *World) reconcilePort(node int) {
 	pt := w.memPort[node]
-	// Fast path: when every parked poller contends for the same lock and
-	// that lock is exclusively held, no poller can acquire it — the walk
-	// below would arm nothing. One lock-word load replaces the scan.
-	if pt.hom && len(pt.byReg) > 0 && pt.byReg[0].win.locks[pt.byReg[0].target].excl {
+	ring := pt.root()
+	if ring == nil || pt.win.locks[pt.target].excl {
 		return
 	}
-	// Walk in registration order — the literal scan order — improving each
-	// lock's covering mark, then arm one wake per improved lock at its final
-	// mark. The literal protocol's intermediate, immediately-superseded
-	// wake-ups carry no observable state of their own: a stale wake only
-	// advances the port to its position, and every replayed poll step is
-	// position-exact arithmetic that yields the same timestamps and counters
-	// whichever trigger drives it, so only the earliest covering decision —
-	// where a grant can actually resolve — needs an engine event.
-	for _, pl := range pt.byReg {
-		ls := &pl.win.locks[pl.target]
-		if ls.excl {
-			continue
-		}
-		if ls.wakeSet && (ls.wakeAt < pl.at || (ls.wakeAt == pl.at && ls.wakeBorn <= pl.born)) {
-			continue
-		}
-		ls.wakeAt = pl.at
-		ls.wakeBorn = pl.born
-		ls.wakeSet = true
-		found := false
-		for i := range pt.armW {
-			if pt.armW[i] == pl.win && pt.armT[i] == pl.target {
-				found = true
-				break
-			}
-		}
-		if !found {
-			pt.armW = append(pt.armW, pl.win)
-			pt.armT = append(pt.armT, pl.target)
-		}
+	st := ring.first()
+	if pt.wakeSet && (pt.wakeAt < st.at || (pt.wakeAt == st.at && pt.wakeBorn <= st.born)) {
+		return
 	}
-	for i := range pt.armW {
-		win, target := pt.armW[i], pt.armT[i]
-		pt.armW[i] = nil
-		ls := &win.locks[target]
-		w.scheduleWake(node, win, target, ls.wakeAt, ls.wakeBorn)
-	}
-	pt.armW = pt.armW[:0]
-	pt.armT = pt.armT[:0]
+	pt.wakeAt, pt.wakeBorn, pt.wakeSet = st.at, st.born, true
+	w.scheduleWake(node, st.at, st.born)
 }
 
 // wakeRec is one pooled wake-chain link; fire is the closure bound to it
 // once, so re-arming the chain allocates nothing in steady state.
 type wakeRec struct {
-	w      *World
-	win    *Win
-	target int
-	node   int
-	at     sim.Time
-	born   sim.Time
-	fire   func()
-	next   *wakeRec
+	w    *World
+	node int
+	at   sim.Time
+	born sim.Time
+	fire func()
+	next *wakeRec
 }
 
 // scheduleWake arms one link of the wake chain: an event at the exact
 // (time, scheduling-time) position of the poll decision it covers, firing
 // after every same-instant event that preceded the literal decision and
 // before every one that followed it.
-func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) {
+func (w *World) scheduleWake(node int, at, born sim.Time) {
 	wr := w.wakeFree
 	if wr == nil {
 		wr = &wakeRec{w: w}
 		wr.fire = func() {
 			w := wr.w
-			ls := &wr.win.locks[wr.target]
-			cleared := ls.wakeSet && ls.wakeAt == wr.at && ls.wakeBorn == wr.born
-			if cleared {
-				ls.wakeSet = false
-			}
 			node, born := wr.node, wr.born
-			wr.win = nil
+			pt := w.memPort[node]
+			cleared := pt.wakeSet && pt.wakeAt == wr.at && pt.wakeBorn == born
+			if cleared {
+				pt.wakeSet = false
+			}
 			wr.next = w.wakeFree
 			w.wakeFree = wr
 			advanced := w.advancePort(node, w.eng.Now(), born, true)
@@ -451,13 +366,13 @@ func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) 
 			// A stale link that replayed nothing cannot have created a new
 			// earliest decision: poll positions only ever move later, every
 			// eligibility-increasing mutation (a release) reconciles itself,
-			// and the covering mark is still armed. The walk would arm
+			// and the covering mark is still armed. Reconciling would arm
 			// nothing, so skip it.
 		}
 	} else {
 		w.wakeFree = wr.next
 	}
-	wr.win, wr.target, wr.node, wr.at, wr.born = win, target, node, at, born
+	wr.node, wr.at, wr.born = node, at, born
 	w.eng.ScheduleAsOf(at, born, wr.fire)
 }
 
@@ -553,6 +468,8 @@ func (w *Win) targetNode(target int) int {
 // through the coalesced poller machinery and cont fires at the exact grant
 // position. The caller must yield after each issue; the issuer and its
 // closures are allocated once, so steady-state issues are allocation-free.
+// The first issuer built on a node binds its port to (w, target); building
+// one for a different lock on the same node panics.
 func (w *Win) NewLockCont(r *Rank, target int, cont func()) func() {
 	wld := w.world
 	tn := w.targetNode(target)
@@ -561,6 +478,7 @@ func (w *Win) NewLockCont(r *Rank, target int, cont func()) func() {
 	}
 	mem := &wld.cfg.Mem
 	pt := wld.memPort[tn]
+	pt.bind(w, target, tn)
 	eng := wld.eng
 	check := func() {
 		pt.checksInFlight--
@@ -574,9 +492,7 @@ func (w *Win) NewLockCont(r *Rank, target int, cont func()) func() {
 		// Contended: park on the coalesced poller machinery, exactly as the
 		// literal loop registered itself after its first failed check.
 		born := eng.Now()
-		pl := r.pooledPoller()
-		*pl = poller{win: w, target: target, cont: cont, at: born + mem.PollInterval, born: born}
-		pt.pushPoller(pl)
+		pt.park(born+mem.PollInterval, born, cont)
 	}
 	return func() {
 		// Literal first attempt: one RMA round through the port.
@@ -597,9 +513,7 @@ func (w *Win) NewLockCont(r *Rank, target int, cont func()) func() {
 			// and skip the check event entirely.
 			ls := &w.locks[target]
 			if ls.relsInFlight == 0 && pt.checksInFlight == 0 && ls.excl {
-				pl := r.pooledPoller()
-				*pl = poller{win: w, target: target, cont: cont, at: chk + mem.PollInterval, born: chk}
-				pt.pushPoller(pl)
+				pt.park(chk+mem.PollInterval, chk, cont)
 				return
 			}
 		}
@@ -614,8 +528,9 @@ func (w *Win) NewLockCont(r *Rank, target int, cont func()) func() {
 // release half at the literal service completion, and cont(release) inline
 // right after the release — exactly where a blocking MPI_Win_unlock caller
 // resumed — so everything cont schedules gets the same relative order. At
-// most one unlock may be in flight per issuer; the caller yields meanwhile.
-// Releasing a lock that is not held panics.
+// most one unlock may be in flight per issuer (a second issue before the
+// release panics); the caller yields meanwhile. Releasing a lock that is not
+// held panics.
 func (w *Win) NewUnlockCont(r *Rank, target int, cont func(release sim.Time)) func(arrival, born sim.Time) {
 	wld := w.world
 	tn := w.targetNode(target)
@@ -624,10 +539,15 @@ func (w *Win) NewUnlockCont(r *Rank, target int, cont func(release sim.Time)) fu
 	}
 	pt := wld.memPort[tn]
 	eng := wld.eng
-	var arrival, release sim.Time
+	// op is the in-flight unlock; one struct keeps the closures' shared
+	// state to one allocation.
+	var op struct {
+		arrival, release sim.Time
+		inFlight         bool
+	}
 	releaseFn := func() {
 		if pt.pending() {
-			wld.advancePort(tn, release, eng.EventScheduledAt(), false)
+			wld.advancePort(tn, op.release, eng.EventScheduledAt(), false)
 		}
 		ls := &w.locks[target]
 		if !ls.excl {
@@ -636,20 +556,24 @@ func (w *Win) NewUnlockCont(r *Rank, target int, cont func(release sim.Time)) fu
 		ls.excl = false
 		ls.relsInFlight--
 		wld.reconcilePort(tn)
-		cont(release)
+		op.inFlight = false
+		cont(op.release)
 	}
 	arriveFn := func() {
 		if pt.pending() {
-			wld.advancePort(tn, arrival, eng.EventScheduledAt(), false)
+			wld.advancePort(tn, op.arrival, eng.EventScheduledAt(), false)
 		}
-		done := pt.srv.ServeAsync(arrival, wld.cfg.Mem.SharedWinOp)
-		release = arrival + (done - arrival)
-		eng.AbsorbAsOf(release, arrival, releaseFn)
+		done := pt.srv.ServeAsync(op.arrival, wld.cfg.Mem.SharedWinOp)
+		op.release = op.arrival + (done - op.arrival)
+		eng.AbsorbAsOf(op.release, op.arrival, releaseFn)
 	}
-	return func(arr, born sim.Time) {
-		arrival = arr
+	return func(arrival, born sim.Time) {
+		if op.inFlight {
+			panic(fmt.Sprintf("mpi: rank %d issued a second unlock of %s[%d] while one is in flight", r.rank, w.name, target))
+		}
+		op.inFlight, op.arrival = true, arrival
 		w.locks[target].relsInFlight++
-		eng.AbsorbAsOf(arr, born, arriveFn)
+		eng.AbsorbAsOf(arrival, born, arriveFn)
 	}
 }
 
@@ -661,30 +585,35 @@ func (w *Win) NewUnlockCont(r *Rank, target int, cont func(release sim.Time)) fu
 // exact (time, scheduling-time) positions a blocking caller's sleeps
 // occupied, then applies the read-modify-write and runs cont(old) inline at
 // the completion event, where that caller resumed. At most one operation
-// may be in flight per issuer; the issuer and its closures are allocated
-// once, so steady-state issues allocate nothing. The caller must already
-// be executing inside an engine event, so the pre-service poll replay sees
-// the same EventScheduledAt as the literal call site.
+// may be in flight per issuer (a second issue before the completion
+// panics); the issuer and its closures are allocated once, so steady-state
+// issues allocate nothing. The caller must already be executing inside an
+// engine event, so the pre-service poll replay sees the same
+// EventScheduledAt as the literal call site.
 func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, cont func(old int64)) {
 	wld := w.world
 	eng := wld.eng
 	net := &wld.cfg.Net
-	var (
+	// op is the in-flight operation; one struct keeps the closures' shared
+	// state to one allocation.
+	var op struct {
 		target, offset int
 		delta          int64
 		cont           func(int64)
-	)
+		inFlight       bool
+	}
 	finish := func() {
-		old := w.data[target][offset]
-		w.data[target][offset] = old + delta
-		cont(old)
+		old := w.data[op.target][op.offset]
+		w.data[op.target][op.offset] = old + op.delta
+		op.inFlight = false
+		op.cont(old)
 	}
 	servedRemote := func() {
 		now := eng.Now()
 		eng.AbsorbAsOf(now+net.Latency, now, finish)
 	}
 	arriveRemote := func() {
-		tn := w.targetNode(target)
+		tn := w.targetNode(op.target)
 		pt := wld.memPort[tn]
 		if pt.pending() {
 			wld.advancePort(tn, eng.Now(), eng.EventScheduledAt(), false)
@@ -693,8 +622,11 @@ func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, c
 		done := pt.srv.ServeAsync(now, wld.cfg.Mem.SharedWinOp+net.PortService)
 		eng.AbsorbAsOf(now+(done-now), now, servedRemote)
 	}
-	return func(t, off int, d int64, c func(int64)) {
-		target, offset, delta, cont = t, off, d, c
+	return func(target, offset int, delta int64, cont func(int64)) {
+		if op.inFlight {
+			panic(fmt.Sprintf("mpi: rank %d issued a second Fetch_and_op on %s while one is in flight", r.rank, w.name))
+		}
+		op.target, op.offset, op.delta, op.cont, op.inFlight = target, offset, delta, cont, true
 		w.AtomicOps++
 		tn := w.targetNode(target)
 		now := eng.Now()
