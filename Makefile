@@ -66,9 +66,8 @@ bench-stress:
 	$(GO) run ./cmd/hdlsim -app mandelbrot -inter GSS -intra SS -nodes 64 -scale 64
 
 # check runs the machine-class perf gates (DESIGN.md §14): every case of
-# the selected class executed through a fresh live hdlsd subprocess, one
-# trend row appended per case to checks/trend/<class>.ndjson, and a named
-# verdict per check — CI fails with
+# the selected class executed through a fresh live hdlsd subprocess, with a
+# named verdict per check — CI fails with
 #   check quick/fig4-grid: FAIL: cells_per_second 61.2 < goal 100
 # instead of a raw regression percentage. CLASS=nightly runs the full
 # matrix the nightly workflow uses.

@@ -2,8 +2,8 @@
 // DESIGN.md §14): it loads the declarative checks/ tree, calibrates the
 // host against the requested machine class, executes every case through a
 // live hdlsd — a fresh daemon subprocess per case, so the service gates
-// its own serving path — appends one trend row per case to
-// checks/trend/<class>.ndjson, and exits 1 if any named check fails:
+// its own serving path — prints one named verdict per case and a
+// pass/fail/skip summary, and exits 1 if any named check fails:
 //
 //	hdlscheck -hdlsd bin/hdlsd -class quick
 //	check quick/fig4-grid: PASS
@@ -19,9 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"time"
 
 	"repro/internal/checks"
 )
@@ -33,14 +31,13 @@ func fatalf(format string, args ...any) {
 
 func main() {
 	var (
-		dir      = flag.String("dir", "checks", "checks tree root")
-		class    = flag.String("class", "quick", "machine class to run")
-		binary   = flag.String("hdlsd", "", "hdlsd binary; each case gets a fresh subprocess daemon (required unless -list)")
-		workers  = flag.Int("workers", 0, "daemon worker pool per case (0 = GOMAXPROCS)")
-		trendDir = flag.String("trend", "", "trend history directory (default <dir>/trend; \"none\" disables the append)")
-		pidFile  = flag.String("daemon-pidfile", "", "write each case's live daemon PID here (for fault-injection harnesses)")
-		list     = flag.Bool("list", false, "list classes and cases, run nothing")
-		verbose  = flag.Bool("v", false, "stream daemon logs to stderr")
+		dir     = flag.String("dir", "checks", "checks tree root")
+		class   = flag.String("class", "quick", "machine class to run")
+		binary  = flag.String("hdlsd", "", "hdlsd binary; each case gets a fresh subprocess daemon (required unless -list)")
+		workers = flag.Int("workers", 0, "daemon worker pool per case (0 = GOMAXPROCS)")
+		pidFile = flag.String("daemon-pidfile", "", "write each case's live daemon PID here (for fault-injection harnesses)")
+		list    = flag.Bool("list", false, "list classes and cases, run nothing")
+		verbose = flag.Bool("v", false, "stream daemon logs to stderr")
 	)
 	flag.Parse()
 
@@ -66,11 +63,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	trend := *trendDir
-	if trend == "" {
-		trend = filepath.Join(*dir, "trend")
-	}
-
 	exec := &checks.DaemonExecutor{Binary: *binary, Workers: *workers, PidFile: *pidFile}
 	if *verbose {
 		exec.Stderr = os.Stderr
@@ -82,14 +74,6 @@ func main() {
 
 	runner := &checks.Runner{Exec: exec, Host: host, Log: os.Stdout}
 	results := runner.RunClass(cl)
-
-	if trend != "none" {
-		rows := checks.RowsFromResults(host, time.Now(), results)
-		path := filepath.Join(trend, cl.Name+".ndjson")
-		if err := checks.AppendRows(path, rows); err != nil {
-			fatalf("%v", err)
-		}
-	}
 
 	counts := map[string]int{}
 	var failed []checks.Result

@@ -63,7 +63,6 @@ func main() {
 		withEff  = flag.Bool("eff", false, "also print parallel-efficiency tables")
 		jsonOut  = flag.String("json", "", "write the sweep results (cell values) as JSON to this path")
 		par      = flag.Int("p", 0, "max concurrent figure cells (0 = all cores)")
-		parallel = flag.Int("parallel", 0, "alias of -p: max concurrent cells (0 = all cores)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this path on exit")
 
@@ -83,9 +82,6 @@ func main() {
 		wlSpec   = flag.String("workload", "", "workload spec (workload.ParseSpec) overriding the app kernels")
 	)
 	flag.Parse()
-	if *par == 0 {
-		*par = *parallel
-	}
 
 	stopProf, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	fatalIf(err)

@@ -2,13 +2,12 @@
 // a declarative checks/ tree of machine classes and cases in the
 // DataDog-SMP "workload checks" shape, a runner that executes every case
 // through a live hdlsd instance — the daemon is dogfooded as the bench
-// executor — and a trend history of one NDJSON row per case per run.
+// executor.
 //
 // The tree:
 //
 //	checks/<class>/machine.json            resource + calibration envelope
 //	checks/<class>/cases/<name>/case.json  workload, target, goals
-//	checks/trend/<class>.ndjson            appended measurement history
 //
 // A case declares a target — a figure-grid sweep, the serving path under
 // loadgen traffic, or an async soak slice — and goals: throughput floors,
@@ -97,14 +96,14 @@ type Host struct {
 	Cores int
 	// CalibMops is the measured single-core calibration score.
 	CalibMops float64
-	// GoVersion stamps trend rows.
+	// GoVersion names the toolchain in hdlscheck's host line.
 	GoVersion string
 }
 
 // Calibrate measures the current host: core count plus a ~100ms
 // single-core integer-throughput kernel (cliutil.CalibScore — the same
-// score the frozen BENCH snapshots and perfbench record, so trend rows stay
-// comparable).
+// score the frozen BENCH snapshots and perfbench record, so class
+// references stay comparable).
 func Calibrate() Host {
 	return Host{
 		Cores:     runtime.NumCPU(),
@@ -231,9 +230,6 @@ func (t *Tree) Class(name string) (*Class, error) {
 		name, strings.Join(have, ", "))
 }
 
-// reservedDirs are checks/ entries that are not machine classes.
-var reservedDirs = map[string]bool{"trend": true}
-
 // Load reads and validates a checks/ tree. Every error names the class,
 // case and field that broke, so a bad goal unit fails as
 // "checks: case quick/fig4-grid: goal rss_max: bad size ..." rather than
@@ -245,7 +241,7 @@ func Load(dir string) (*Tree, error) {
 	}
 	tree := &Tree{Dir: dir}
 	for _, e := range entries {
-		if !e.IsDir() || reservedDirs[e.Name()] || strings.HasPrefix(e.Name(), ".") {
+		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
 			continue
 		}
 		class, err := loadClass(dir, e.Name())

@@ -6,16 +6,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // writeTree materializes a one-class checks tree for a test.
 func writeTree(t *testing.T, machine string, cases map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "trend"), 0o755); err != nil {
-		t.Fatal(err)
-	}
 	if err := os.MkdirAll(filepath.Join(dir, "test", "cases"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -302,75 +298,6 @@ func TestHostFitSkips(t *testing.T) {
 		m := MachineSpec{CalibRefMops: 700, CoresMin: 64}
 		if _, reason := m.Fit(host); !strings.Contains(reason, "cores") {
 			t.Fatalf("reason %q does not name cores", reason)
-		}
-	})
-}
-
-// TestTrendRoundTrip appends rows, reloads them, and checks the reader
-// tolerates keys a future runner may add.
-func TestTrendRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trend", "quick.ndjson")
-	host := Host{Cores: 1, CalibMops: 700, GoVersion: "go1.24.0"}
-	when := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	results := []Result{
-		{
-			Check: "quick/fig4-grid", Status: StatusPass,
-			Measured: map[string]float64{MetricCellsPerSecond: 400},
-			Elapsed:  1500 * time.Millisecond,
-		},
-		{
-			Check: "quick/serve-stream", Status: StatusFail,
-			Failures: []Failure{{Metric: MetricP99StreamMs, Measured: 312, Limit: 250, Display: "250ms"}},
-		},
-	}
-	if err := AppendRows(path, RowsFromResults(host, when, results)); err != nil {
-		t.Fatal(err)
-	}
-	// A future runner adds keys; today's reader must shrug them off.
-	future := `{"time":"2026-09-01T00:00:00Z","check":"quick/fig4-grid","status":"pass","flux_capacitance":1.21,"measured":{"cells_per_second":410}}` + "\n"
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(future); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	rows, err := LoadRows(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	if rows[0].Check != "quick/fig4-grid" || rows[0].Time != "2026-08-07T12:00:00Z" {
-		t.Errorf("row 0 = %+v", rows[0])
-	}
-	if rows[0].ElapsedSeconds != 1.5 || rows[0].CalibMops != 700 {
-		t.Errorf("row 0 stamps = %+v", rows[0])
-	}
-	if len(rows[1].Failures) != 1 || !strings.Contains(rows[1].Failures[0], "p99_stream_ms") {
-		t.Errorf("row 1 failures = %v", rows[1].Failures)
-	}
-	if rows[2].Measured[MetricCellsPerSecond] != 410 {
-		t.Errorf("future row measured = %v", rows[2].Measured)
-	}
-
-	t.Run("missing file is empty history", func(t *testing.T) {
-		rows, err := LoadRows(filepath.Join(t.TempDir(), "absent.ndjson"))
-		if err != nil || rows != nil {
-			t.Fatalf("rows=%v err=%v", rows, err)
-		}
-	})
-	t.Run("broken line names its number", func(t *testing.T) {
-		p := filepath.Join(t.TempDir(), "bad.ndjson")
-		if err := os.WriteFile(p, []byte("{\"check\":\"a\"}\nnot json\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := LoadRows(p)
-		if err == nil || !strings.Contains(err.Error(), ":2:") {
-			t.Fatalf("err = %v, want line 2 named", err)
 		}
 	})
 }

@@ -8,10 +8,9 @@ import (
 	"time"
 )
 
-// Measured-metric keys. Goals reference these names, the runner writes
-// them into Result.Measured, and trend rows persist them — one vocabulary
-// end to end so a failure message, a trend row, and a case.json goal all
-// name the same quantity.
+// Measured-metric keys. Goals reference these names and the runner writes
+// them into Result.Measured — one vocabulary end to end so a failure
+// message and a case.json goal name the same quantity.
 const (
 	// MetricCellsPerSecond is cold-pass sweep throughput (sweep target).
 	MetricCellsPerSecond = "cells_per_second"

@@ -46,7 +46,7 @@ type Executor interface {
 	Start(c *Case) (*Instance, error)
 }
 
-// Result is one case's verdict plus everything the trend history keeps.
+// Result is one case's verdict and the measurements behind it.
 type Result struct {
 	// Check is the qualified check name, "<class>/<case>".
 	Check string
@@ -63,8 +63,6 @@ type Result struct {
 	// byte-wise, the executor could not start. A Result with Err is a
 	// StatusFail even if no goal was evaluated.
 	Err error
-	// Elapsed is the case's wall time.
-	Elapsed time.Duration
 }
 
 // Failed reports whether the result must fail CI.
@@ -121,9 +119,9 @@ func (r *Runner) logf(format string, args ...any) {
 }
 
 // RunClass fits the host against the class envelope and runs every case.
-// A host outside the envelope yields one skip Result per case — the trend
-// history still records that the class was attempted — and never a
-// wall-clock verdict that would be noise.
+// A host outside the envelope yields one skip Result per case — printed, so
+// the log still shows the class was attempted — and never a wall-clock
+// verdict that would be noise.
 func (r *Runner) RunClass(class *Class) []Result {
 	scale, reason := class.Machine.Fit(r.Host)
 	results := make([]Result, 0, len(class.Cases))
@@ -150,8 +148,6 @@ func (r *Runner) RunClass(class *Class) []Result {
 // MachineSpec.Fit.
 func (r *Runner) RunCase(c *Case, scale float64) (res Result) {
 	res = Result{Check: c.CheckName(), Status: StatusPass}
-	start := time.Now()
-	defer func() { res.Elapsed = time.Since(start) }()
 
 	inst, err := r.Exec.Start(c)
 	if err != nil {

@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -63,4 +64,33 @@ func TestParsePositiveIntsStaysLenient(t *testing.T) {
 	if _, err := ParsePositiveInts("4,0"); err == nil {
 		t.Fatal("ParsePositiveInts accepted a zero")
 	}
+}
+
+// FuzzParseNodeCounts holds the -nodes contract on arbitrary input: an
+// accepted list is positive and duplicate-free, and its canonical form
+// (the values re-joined with commas) parses back to the same slice. The
+// input itself need not round-trip: Atoi accepts "08" and "+8".
+func FuzzParseNodeCounts(f *testing.F) {
+	for _, seed := range []string{"8", "2,4,8,16", "16,4", "2, 4", "8,8", ",8", "", "0", "-4", "08", "+8"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseNodeCounts(s)
+		if err != nil {
+			return
+		}
+		seen := make(map[int]bool, len(got))
+		canon := make([]string, len(got))
+		for i, v := range got {
+			if v <= 0 || seen[v] {
+				t.Fatalf("ParseNodeCounts(%q) = %v: non-positive or duplicate %d", s, got, v)
+			}
+			seen[v] = true
+			canon[i] = strconv.Itoa(v)
+		}
+		again, err := ParseNodeCounts(strings.Join(canon, ","))
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("canonical form of %q = %v reparses to %v, %v", s, got, again, err)
+		}
+	})
 }

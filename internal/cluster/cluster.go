@@ -114,19 +114,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// TotalCores reports the machine's core count (summing NodeCores when the
-// machine is heterogeneous).
-func (c *Config) TotalCores() int {
-	if len(c.NodeCores) == 0 {
-		return c.Nodes * c.CoresPerNode
-	}
-	total := 0
-	for n := 0; n < c.Nodes; n++ {
-		total += c.Cores(n)
-	}
-	return total
-}
-
 // Cores returns node n's core count (the tiled NodeCores pattern, or the
 // homogeneous CoresPerNode).
 func (c *Config) Cores(node int) int {
@@ -186,28 +173,6 @@ func applyNoise(d sim.Time, cv float64, rng *rand.Rand) sim.Time {
 		f = 0.05
 	}
 	return d * sim.Time(f)
-}
-
-// WithNodes returns a copy of the config resized to n nodes, keeping all
-// cost parameters and tiling any per-node speed/core patterns. Used by
-// scaling sweeps.
-func (c Config) WithNodes(n int) Config {
-	c.Nodes = n
-	if c.NodeSpeed != nil {
-		sp := make([]float64, n)
-		for i := range sp {
-			sp[i] = c.NodeSpeed[i%len(c.NodeSpeed)]
-		}
-		c.NodeSpeed = sp
-	}
-	if c.NodeCores != nil {
-		nc := make([]int, n)
-		for i := range nc {
-			nc[i] = c.NodeCores[i%len(c.NodeCores)]
-		}
-		c.NodeCores = nc
-	}
-	return c
 }
 
 // MiniHPC models the paper's target system: dual-socket Intel Xeon E5-2640

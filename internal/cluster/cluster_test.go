@@ -12,8 +12,12 @@ func TestMiniHPCValid(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("MiniHPC(%d) invalid: %v", nodes, err)
 		}
-		if c.TotalCores() != nodes*16 {
-			t.Fatalf("TotalCores = %d, want %d", c.TotalCores(), nodes*16)
+		total := 0
+		for n := 0; n < c.Nodes; n++ {
+			total += c.Cores(n)
+		}
+		if total != nodes*16 {
+			t.Fatalf("total cores = %d, want %d", total, nodes*16)
 		}
 	}
 }
@@ -70,24 +74,6 @@ func TestHeteroSpeeds(t *testing.T) {
 		if c.Speed(i) != w {
 			t.Fatalf("Speed(%d) = %v, want %v", i, c.Speed(i), w)
 		}
-	}
-}
-
-func TestWithNodesResizes(t *testing.T) {
-	c := MiniHPCHetero(2, 1.0, 0.5).WithNodes(5)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Nodes != 5 || len(c.NodeSpeed) != 5 {
-		t.Fatalf("WithNodes: Nodes=%d len(NodeSpeed)=%d", c.Nodes, len(c.NodeSpeed))
-	}
-	if c.NodeSpeed[2] != 1.0 || c.NodeSpeed[3] != 0.5 {
-		t.Fatalf("speed pattern not repeated: %v", c.NodeSpeed)
-	}
-	// Homogeneous resize keeps nil speeds.
-	h := MiniHPC(2).WithNodes(8)
-	if h.NodeSpeed != nil {
-		t.Fatal("homogeneous WithNodes grew a NodeSpeed slice")
 	}
 }
 

@@ -14,21 +14,16 @@ func TestNodeCoresAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCores := []int{16, 64, 16, 64} // tiled
-	total := 0
 	for n, want := range wantCores {
 		if got := c.Cores(n); got != want {
 			t.Errorf("Cores(%d) = %d, want %d", n, got, want)
 		}
-		total += want
-	}
-	if got := c.TotalCores(); got != total {
-		t.Errorf("TotalCores = %d, want %d", got, total)
 	}
 	if got := c.MaxCores(); got != 64 {
 		t.Errorf("MaxCores = %d, want 64", got)
 	}
 	homo := MiniHPC(4)
-	if homo.TotalCores() != 64 || homo.MaxCores() != 16 || homo.Cores(3) != 16 {
+	if homo.Cores(0)+homo.Cores(1)+homo.Cores(2)+homo.Cores(3) != 64 || homo.MaxCores() != 16 || homo.Cores(3) != 16 {
 		t.Error("homogeneous accessors changed")
 	}
 }
@@ -42,20 +37,6 @@ func TestNodeCoresValidation(t *testing.T) {
 	c.NodeCores = []int{16, 16, 16}
 	if err := c.Validate(); err == nil {
 		t.Error("Validate accepted more NodeCores entries than nodes")
-	}
-}
-
-func TestWithNodesTilesCores(t *testing.T) {
-	c := MiniHPCMixed(2)
-	d := c.WithNodes(5)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{16, 64, 16, 64, 16}
-	for n, w := range want {
-		if d.Cores(n) != w {
-			t.Errorf("WithNodes(5).Cores(%d) = %d, want %d", n, d.Cores(n), w)
-		}
 	}
 }
 

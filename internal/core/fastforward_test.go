@@ -9,6 +9,7 @@ import (
 
 	"repro/dls"
 	"repro/internal/cluster"
+	"repro/internal/mpi"
 	"repro/internal/perturb"
 	"repro/internal/workload"
 )
@@ -143,8 +144,8 @@ func diffResults(a, b *Result) string {
 // execution order, so equality here pins the fast-forward to trace-level
 // byte identity, not just identical aggregates (DESIGN.md §11).
 func TestFastForwardDifferential(t *testing.T) {
-	prev := FastForwardEnabled()
-	defer SetFastForward(prev)
+	prev := mpi.FastForwardEnabled()
+	defer mpi.SetFastForward(prev)
 	rng := rand.New(rand.NewSource(20260807))
 	perTech := 3
 	if testing.Short() {
@@ -156,12 +157,12 @@ func TestFastForwardDifferential(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatalf("%v case %d: invalid fuzz config: %v", inter, c, err)
 			}
-			SetFastForward(false)
+			mpi.SetFastForward(false)
 			lit, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%v case %d (literal): %v", inter, c, err)
 			}
-			SetFastForward(true)
+			mpi.SetFastForward(true)
 			ff, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%v case %d (fast-forward): %v", inter, c, err)
@@ -181,8 +182,8 @@ func TestFastForwardDifferential(t *testing.T) {
 // cost more engine events than the literal protocol, and on the contended
 // cells it must save a measurable fraction.
 func TestFastForwardEventCensus(t *testing.T) {
-	prev := FastForwardEnabled()
-	defer SetFastForward(prev)
+	prev := mpi.FastForwardEnabled()
+	defer mpi.SetFastForward(prev)
 	for _, tc := range []struct {
 		inter, intra dls.Technique
 		spec         string
@@ -208,7 +209,7 @@ func TestFastForwardEventCensus(t *testing.T) {
 		}
 		var pushes [2]uint64
 		for i, ff := range []bool{false, true} {
-			SetFastForward(ff)
+			mpi.SetFastForward(ff)
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -232,8 +233,8 @@ func TestFastForwardAB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement harness")
 	}
-	prev := FastForwardEnabled()
-	defer SetFastForward(prev)
+	prev := mpi.FastForwardEnabled()
+	defer mpi.SetFastForward(prev)
 	for _, nodes := range []int{1, 8, 16} {
 		for _, tc := range []struct {
 			inter, intra dls.Technique
@@ -260,7 +261,7 @@ func TestFastForwardAB(t *testing.T) {
 			var offs, ons []float64
 			for i := 0; i < rounds; i++ {
 				for _, ff := range []bool{false, true} {
-					SetFastForward(ff)
+					mpi.SetFastForward(ff)
 					t0 := time.Now()
 					if _, err := Run(cfg); err != nil {
 						t.Fatal(err)

@@ -95,7 +95,7 @@ func mixedCells(t *testing.T, c *Coordinator, n, victim, minVictim int) []hdls.C
 	owned := 0
 	for seed := int64(1); len(cells) < n; seed++ {
 		cfg := fleetCell(seed)
-		if c.ring.Owner(cfg.HashKey()) == victim {
+		if c.ring.Successors(cfg.HashKey())[0] == victim {
 			owned++
 		}
 		cells = append(cells, cfg)
@@ -105,11 +105,11 @@ func mixedCells(t *testing.T, c *Coordinator, n, victim, minVictim int) []hdls.C
 			t.Fatal("could not find enough victim-owned cells")
 		}
 		cfg := fleetCell(seed)
-		if c.ring.Owner(cfg.HashKey()) != victim {
+		if c.ring.Successors(cfg.HashKey())[0] != victim {
 			continue
 		}
 		for i := range cells {
-			if c.ring.Owner(cells[i].HashKey()) != victim {
+			if c.ring.Successors(cells[i].HashKey())[0] != victim {
 				cells[i] = cfg
 				owned++
 				break
@@ -200,7 +200,7 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 	// clean path needed no retries.
 	owners := map[int]bool{}
 	for _, cfg := range cells {
-		owners[c.ring.Owner(cfg.HashKey())] = true
+		owners[c.ring.Successors(cfg.HashKey())[0]] = true
 	}
 	if len(owners) < 2 {
 		t.Errorf("64 cells all landed on one worker; ring placement suspect")

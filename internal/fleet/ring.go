@@ -95,6 +95,3 @@ func (r *Ring) Successors(key uint64) []int {
 	}
 	return out
 }
-
-// Owner returns the index of the worker that owns key.
-func (r *Ring) Owner(key uint64) int { return r.Successors(key)[0] }

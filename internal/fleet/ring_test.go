@@ -62,7 +62,7 @@ func TestRingStabilityUnderWorkerLoss(t *testing.T) {
 	moved := 0
 	for _, key := range ringKeys(2000) {
 		succ := full.Successors(key)
-		newOwner := toFull[reduced.Owner(key)]
+		newOwner := toFull[reduced.Successors(key)[0]]
 		if succ[0] != lost {
 			if newOwner != succ[0] {
 				t.Fatalf("key %d moved from surviving worker %d to %d", key, succ[0], newOwner)
@@ -87,7 +87,7 @@ func TestRingStabilityUnderWorkerLoss(t *testing.T) {
 func TestRingSingleWorker(t *testing.T) {
 	r := NewRing([]string{"http://only:1"}, 8)
 	for _, key := range ringKeys(50) {
-		if got := r.Owner(key); got != 0 {
+		if got := r.Successors(key)[0]; got != 0 {
 			t.Fatalf("single-worker ring routed key to %d", got)
 		}
 	}

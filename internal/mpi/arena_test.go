@@ -23,8 +23,8 @@ func TestRankOfIndexed(t *testing.T) {
 		}
 		nc := w.SplitTypeShared(r)
 		me := nc.RankOf(r)
-		if me != r.Core() {
-			t.Errorf("node RankOf(rank %d) = %d, want core %d", r.Rank(), me, r.Core())
+		if want := r.Rank() - w.nodeOff[r.Node()]; me != want {
+			t.Errorf("node RankOf(rank %d) = %d, want %d", r.Rank(), me, want)
 		}
 		if nc.base+me != r.Rank() {
 			t.Errorf("node comm index broken: RankOf→world rank = %d for rank %d", nc.base+me, r.Rank())

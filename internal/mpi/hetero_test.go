@@ -41,9 +41,6 @@ func TestNewWorldHeterogeneousPlacement(t *testing.T) {
 		if rk.Node() != wantNode {
 			t.Errorf("rank %d on node %d, want %d", r, rk.Node(), wantNode)
 		}
-		if rk.Core() != r-wantOff[rk.Node()] {
-			t.Errorf("rank %d core %d, want %d", r, rk.Core(), r-wantOff[rk.Node()])
-		}
 	}
 	// Node communicators must match the per-node rank sets.
 	ran := false
@@ -52,8 +49,8 @@ func TestNewWorldHeterogeneousPlacement(t *testing.T) {
 		if nc.Size() != wantRanks[r.Node()] {
 			t.Errorf("rank %d node comm size %d, want %d", r.Rank(), nc.Size(), wantRanks[r.Node()])
 		}
-		if nc.RankOf(r) != r.Core() {
-			t.Errorf("rank %d node rank %d, want core %d", r.Rank(), nc.RankOf(r), r.Core())
+		if want := r.Rank() - wantOff[r.Node()]; nc.RankOf(r) != want {
+			t.Errorf("rank %d node rank %d, want %d", r.Rank(), nc.RankOf(r), want)
 		}
 		ran = true
 		r.Retire()

@@ -99,7 +99,6 @@ func NewWorld(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) (*World, e
 				world: w,
 				rank:  r,
 				node:  n,
-				core:  c,
 			}
 		}
 	}
@@ -152,7 +151,7 @@ func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) er
 				r = &Rank{}
 				w.ranks[i] = r
 			}
-			*r = Rank{world: w, rank: i, node: n, core: c}
+			*r = Rank{world: w, rank: i, node: n}
 		}
 	}
 	w.world = newComm(w, 0, size, "world")
@@ -248,7 +247,6 @@ type Rank struct {
 	world *World
 	rank  int
 	node  int
-	core  int
 	// retired is set by Retire (see Launch's stall check).
 	retired bool
 }
@@ -258,9 +256,6 @@ func (r *Rank) Rank() int { return r.rank }
 
 // Node returns the node index the rank is pinned to.
 func (r *Rank) Node() int { return r.node }
-
-// Core returns the core index within the node.
-func (r *Rank) Core() int { return r.core }
 
 // World returns the owning world.
 func (r *Rank) World() *World { return r.world }

@@ -25,8 +25,8 @@ func TestWorldLayout(t *testing.T) {
 	}
 	for r := 0; r < 12; r++ {
 		rk := w.Rank(r)
-		if rk.Node() != r/4 || rk.Core() != r%4 {
-			t.Fatalf("rank %d placed at node %d core %d", r, rk.Node(), rk.Core())
+		if rk.Node() != r/4 || r-w.nodeOff[rk.Node()] != r%4 {
+			t.Fatalf("rank %d placed at node %d offset %d", r, rk.Node(), w.nodeOff[rk.Node()])
 		}
 	}
 }
@@ -270,7 +270,7 @@ func TestLockFairnessIsNotStarvation(t *testing.T) {
 	acq := make([]int, 8)
 	lockRounds(t, w, 50, 2*sim.Microsecond, 10*sim.Microsecond,
 		func(*Rank) {},
-		func(r *Rank) { acq[r.Core()]++ })
+		func(r *Rank) { acq[r.Rank()]++ })
 	for i, n := range acq {
 		if n != 50 {
 			t.Fatalf("rank %d completed %d acquisitions, want 50", i, n)

@@ -199,53 +199,3 @@ func containsStr(s, sub string) bool {
 	}
 	return false
 }
-
-// TestNextChange pins the boundary query to the generated interval set:
-// Factor must be constant on [t, NextChange(t)) and actually change across
-// the boundary whenever the boundary is finite.
-func TestNextChange(t *testing.T) {
-	cfg := Config{SlowdownRate: 40, SlowdownFactor: 3, SlowdownDuration: 0.02, Seed: 7}
-	m := MustNew(cfg, 2)
-	for node := 0; node < 2; node++ {
-		at := sim.Time(0)
-		changes := 0
-		for at < 1.0 {
-			next := m.NextChange(node, at)
-			if math.IsInf(float64(next), 1) {
-				t.Fatalf("node %d: infinite boundary with slowdowns enabled", node)
-			}
-			if next <= at {
-				t.Fatalf("node %d: NextChange(%v) = %v, not strictly after", node, at, next)
-			}
-			f := m.Factor(node, at)
-			// The factor holds at every probe inside [at, next).
-			for _, frac := range []float64{0.25, 0.5, 0.99} {
-				probe := at + sim.Time(frac)*(next-at)
-				if probe >= next {
-					continue
-				}
-				if got := m.Factor(node, probe); got != f {
-					t.Fatalf("node %d: Factor changed inside [%v, %v): %v != %v at %v",
-						node, at, next, got, f, probe)
-				}
-			}
-			if m.Factor(node, next) != f {
-				changes++
-			}
-			at = next
-		}
-		if changes == 0 {
-			t.Fatalf("node %d: no factor change over a second at rate 40/s", node)
-		}
-	}
-
-	// Constant-factor scenarios report an unbounded window.
-	bg := MustNew(Config{BackgroundLoad: []float64{0.3}}, 1)
-	if next := bg.NextChange(0, 0); !math.IsInf(float64(next), 1) {
-		t.Fatalf("background-only scenario: NextChange = %v, want +Inf", next)
-	}
-	var none *Model
-	if next := none.NextChange(0, 5); !math.IsInf(float64(next), 1) {
-		t.Fatalf("nil model: NextChange = %v, want +Inf", next)
-	}
-}

@@ -303,6 +303,21 @@ func TestSweepAsyncJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteWorkload: a NaN workload parameter is a 400 that
+// names the parameter, not a panic in the cost generator.
+func TestRunRejectsNonFiniteWorkload(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(
+		`{"nodes":2,"workers_per_node":4,"workload":"constant:mean=NaN,n=256"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "parameter mean") {
+		t.Fatalf("status %d body %s, want 400 naming parameter mean", resp.StatusCode, body)
+	}
+}
+
 func TestSweepRejectsBadBatches(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, MaxCells: 4})
 	for name, body := range map[string]string{

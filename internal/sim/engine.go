@@ -210,12 +210,14 @@ func (e *Engine) push(ev event) {
 }
 
 // arrayModeMax bounds the sorted-array layout; beyond it inserts would
-// memmove too much and the queue switches to the heap layout. The bound is
-// sized for large-P sweeps: a P-rank cell keeps roughly one pending event
-// per rank or thread, so 16 nodes × 16 ranks (plus wake-chain marks) still fits the
-// array layout, where pops are free and inserts are short tail memmoves.
-// Genuinely huge queues (the opt-in 64-node stress cells and beyond) spill
-// into the heap, whose O(log n) costs are the safe asymptotic fallback.
+// memmove too much and the queue switches to the heap layout. A P-rank cell
+// keeps roughly one pending event per rank or thread, so the paper's 2–8
+// node cells stay in the array layout, where pops are free and inserts are
+// short tail memmoves. The 16-node cells (16 × 16 ranks plus wake-chain
+// marks) peak at about 255 queued events and spend most of their pushes in
+// heap mode, as do the opt-in 64-node stress cells; the heap's O(log n)
+// costs are the asymptotic fallback. The bound is a measured trade-off, not
+// a correctness question: both layouts pop the same order.
 const arrayModeMax = 128
 
 // arrayModeLowWater is the size at which a heap-mode queue converts back to

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used across the
-// repository: moments, percentiles, histograms, and the load-imbalance
+// repository: moments, percentiles, and the load-imbalance
 // metrics standard in the DLS literature.
 package stats
 
@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -103,57 +102,6 @@ func LoadImbalance(loads []float64) float64 {
 	}
 	_, max := MinMax(loads)
 	return max/m - 1
-}
-
-// Histogram bins xs into n equal-width buckets over [min, max] and returns
-// the bucket counts. Values exactly at max land in the last bucket.
-func Histogram(xs []float64, n int) []int {
-	if n <= 0 || len(xs) == 0 {
-		return nil
-	}
-	min, max := MinMax(xs)
-	counts := make([]int, n)
-	if max == min {
-		counts[0] = len(xs)
-		return counts
-	}
-	w := (max - min) / float64(n)
-	for _, x := range xs {
-		b := int((x - min) / w)
-		if b < 0 || math.IsNaN((x-min)/w) { // extreme ranges can overflow the division
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// Sparkline renders counts as a compact unicode bar string, for trace and
-// CLI output.
-func Sparkline(counts []int) string {
-	if len(counts) == 0 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	for _, c := range counts {
-		if max == 0 {
-			b.WriteRune(levels[0])
-			continue
-		}
-		idx := c * (len(levels) - 1) / max
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
 }
 
 // FormatSeconds renders a duration in seconds with an adaptive unit, for

@@ -64,7 +64,7 @@ func TestParseSpecConcurrentByteIdentical(t *testing.T) {
 						return
 					}
 					for k := 0; k < p.N(); k += 17 {
-						if p.Cost(k) != refs[i].Cost(k) {
+						if p.Costs()[k] != refs[i].Costs()[k] {
 							mu.Lock()
 							failure = sp
 							mu.Unlock()

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -83,11 +84,15 @@ func specParams(spec string) (string, map[string]float64, error) {
 			if !ok {
 				return "", nil, fmt.Errorf("workload: spec %q: bad parameter %q (want key=val)", spec, part)
 			}
+			key := strings.ToLower(strings.TrimSpace(k))
 			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 			if err != nil {
 				return "", nil, fmt.Errorf("workload: spec %q: parameter %q: %v", spec, part, err)
 			}
-			kv[strings.ToLower(strings.TrimSpace(k))] = f
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return "", nil, fmt.Errorf("workload: spec %q: parameter %s = %v, must be finite", spec, key, f)
+			}
+			kv[key] = f
 		}
 	}
 	return kind, kv, nil
@@ -132,7 +137,16 @@ func SpecN(spec string) (int, error) {
 	return 0, fmt.Errorf("workload: unknown kind %q", kind)
 }
 
-func parseSpec(spec string, seed int64) (*Profile, error) {
+func parseSpec(spec string, seed int64) (p *Profile, err error) {
+	// The generators panic on a parameter or cost they cannot use, and
+	// finite extremes still produce one (mean=1e308 overflows a cost to
+	// +Inf, a gamma scale <= 0 has no distribution). A spec is outside
+	// input, so that panic is its parse error.
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, fmt.Errorf("workload: spec %q: %v", spec, r)
+		}
+	}()
 	kind, kv, err := specParams(spec)
 	if err != nil {
 		return nil, err

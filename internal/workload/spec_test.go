@@ -64,7 +64,7 @@ func TestParseSpecDeterministicPerSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < a.N(); i++ {
-		if a.Cost(i) != b.Cost(i) {
+		if a.Costs()[i] != b.Costs()[i] {
 			t.Fatalf("same seed diverged at iteration %d", i)
 		}
 	}
@@ -74,7 +74,7 @@ func TestParseSpecDeterministicPerSeed(t *testing.T) {
 	}
 	same := true
 	for i := 0; i < a.N(); i++ {
-		if a.Cost(i) != c.Cost(i) {
+		if a.Costs()[i] != c.Costs()[i] {
 			same = false
 			break
 		}
@@ -94,14 +94,14 @@ func TestParseSpecRamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < 100; i++ {
-		if inc.Cost(i) < inc.Cost(i-1) {
+		if inc.Costs()[i] < inc.Costs()[i-1] {
 			t.Fatalf("increasing ramp decreased at %d", i)
 		}
-		if dec.Cost(i) > dec.Cost(i-1) {
+		if dec.Costs()[i] > dec.Costs()[i-1] {
 			t.Fatalf("decreasing ramp increased at %d", i)
 		}
 	}
-	if math.Abs(inc.Cost(0)-dec.Cost(99)) > 1e-18 {
+	if math.Abs(inc.Costs()[0]-dec.Costs()[99]) > 1e-18 {
 		t.Error("ramps are not mirror images at the endpoints")
 	}
 }
@@ -114,6 +114,12 @@ func TestParseSpecErrors(t *testing.T) {
 		"constant:lo=1e-6", // unknown key for kind
 		"bimodal:frac=1.5", // out of range
 		"gamma:shape=-1",
+		"constant:mean=NaN", // non-finite values must not reach the generators
+		"uniform:lo=NaN",
+		"gaussian:sigma=Inf",
+		"gamma:shape=NaN",
+		"exponential:mean=1e308", // finite, but the costs overflow to +Inf
+		"gamma:scale=-1",
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec, 1); err == nil {
@@ -158,4 +164,40 @@ func TestSpecN(t *testing.T) {
 			t.Errorf("SpecN(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseSpec holds the spec parser's contract on arbitrary input: no
+// panic, and an accepted spec builds exactly SpecN(spec) iterations. Specs
+// over 1<<16 iterations are skipped before building, as serve bounds
+// request sizes with SpecN, so the fuzzer cannot allocate gigabytes. The
+// target calls parseSpec, the builder behind ParseSpec's memo, so the
+// fuzzer's stream of distinct specs does not fill the process-wide memo.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"constant", "constant:n=100,mean=2e-6", "uniform:n=512,lo=1e-6,hi=3e-6",
+		"gaussian:n=64,cv=0.5", "exponential:n=10", "gamma:n=32,shape=2",
+		"bimodal:n=100,frac=0.3", "increasing:n=50", "decreasing:n=50,lo=1,hi=2",
+		"mandelbrot:scale=64", "psia:scale=256", "unknown", "", "uniform:lo",
+		"constant:mean=NaN", "uniform:lo=NaN", "gaussian:sigma=Inf", "gamma:shape=NaN",
+		"constant:mean=Inf,n=256", "constant:n=1e300", "exponential:mean=1e308",
+		"gamma:scale=-1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		n, nerr := SpecN(spec)
+		if nerr == nil && n > 1<<16 {
+			t.Skip()
+		}
+		p, err := parseSpec(spec, 1)
+		if err != nil {
+			return
+		}
+		if nerr != nil {
+			t.Fatalf("parseSpec accepted %q, SpecN rejected it: %v", spec, nerr)
+		}
+		if p.N() != n {
+			t.Fatalf("%q: SpecN = %d, profile has %d iterations", spec, n, p.N())
+		}
+	})
 }

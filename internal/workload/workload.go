@@ -60,9 +60,6 @@ func (p *Profile) Name() string { return p.name }
 // N reports the loop size.
 func (p *Profile) N() int { return len(p.costs) }
 
-// Cost returns iteration i's reference-core execution time in seconds.
-func (p *Profile) Cost(i int) float64 { return p.costs[i] }
-
 // Range returns the total cost of iterations [a, b) in O(1).
 func (p *Profile) Range(a, b int) sim.Time {
 	if a < 0 || b > len(p.costs) || a > b {

@@ -58,18 +58,18 @@ func TestFromCountsCalibration(t *testing.T) {
 		t.Fatalf("mean = %v, want 100µs", p.Mean())
 	}
 	// Base floor: the zero-count iteration costs exactly baseFrac·mean.
-	if got := p.Cost(0); math.Abs(got-10e-6) > 1e-12 {
+	if got := p.Costs()[0]; math.Abs(got-10e-6) > 1e-12 {
 		t.Fatalf("base cost = %v, want 10µs", got)
 	}
 	// Costs are affine in counts.
-	if d := (p.Cost(3) - p.Cost(2)) - (p.Cost(2) - p.Cost(1)); math.Abs(d) > 1e-15 {
+	if d := (p.Costs()[3] - p.Costs()[2]) - (p.Costs()[2] - p.Costs()[1]); math.Abs(d) > 1e-15 {
 		t.Fatal("costs not affine in counts")
 	}
 	// Degenerate all-zero counts: constant profile at the mean.
 	z := FromCounts("z", []int{0, 0, 0}, 5e-6, 0.2)
 	for i := 0; i < 3; i++ {
-		if z.Cost(i) != 5e-6 {
-			t.Fatalf("zero-count profile cost = %v", z.Cost(i))
+		if z.Costs()[i] != 5e-6 {
+			t.Fatalf("zero-count profile cost = %v", z.Costs()[i])
 		}
 	}
 }
@@ -146,14 +146,14 @@ func TestIncreasingDecreasing(t *testing.T) {
 	inc := Increasing(100, 1e-6, 9e-6)
 	dec := Decreasing(100, 1e-6, 9e-6)
 	closeTo := func(a, b float64) bool { return math.Abs(a-b) < 1e-15 }
-	if !closeTo(inc.Cost(0), 1e-6) || !closeTo(inc.Cost(99), 9e-6) {
-		t.Fatalf("increasing endpoints: %v, %v", inc.Cost(0), inc.Cost(99))
+	if !closeTo(inc.Costs()[0], 1e-6) || !closeTo(inc.Costs()[99], 9e-6) {
+		t.Fatalf("increasing endpoints: %v, %v", inc.Costs()[0], inc.Costs()[99])
 	}
-	if !closeTo(dec.Cost(0), 9e-6) || !closeTo(dec.Cost(99), 1e-6) {
-		t.Fatalf("decreasing endpoints: %v, %v", dec.Cost(0), dec.Cost(99))
+	if !closeTo(dec.Costs()[0], 9e-6) || !closeTo(dec.Costs()[99], 1e-6) {
+		t.Fatalf("decreasing endpoints: %v, %v", dec.Costs()[0], dec.Costs()[99])
 	}
 	for i := 1; i < 100; i++ {
-		if inc.Cost(i) < inc.Cost(i-1) || dec.Cost(i) > dec.Cost(i-1) {
+		if inc.Costs()[i] < inc.Costs()[i-1] || dec.Costs()[i] > dec.Costs()[i-1] {
 			t.Fatal("ramp not monotone")
 		}
 	}
@@ -184,7 +184,7 @@ func TestQuickPrefixSumConsistency(t *testing.T) {
 		}
 		var direct float64
 		for i := a; i < b; i++ {
-			direct += p.Cost(i)
+			direct += p.Costs()[i]
 		}
 		return math.Abs(float64(p.Range(a, b))-direct) < 1e-12 &&
 			math.Abs(float64(p.Range(0, n)-p.Total())) < 1e-15

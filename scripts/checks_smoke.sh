@@ -3,7 +3,7 @@
 # gates must fail the *right way*. Three scenarios against real subprocess
 # daemons:
 #
-#   1. a healthy tiny class passes and appends one trend row per case
+#   1. a healthy tiny class passes with a named verdict and a clean summary
 #   2. a deliberately lowered goal fails CI with the check's name and
 #      measured-vs-goal values (exit 1)
 #   3. a SIGKILLed check daemon mid-case fails the *check* — named, exit 1
@@ -36,19 +36,17 @@ EOF
 EOF
 }
 
-echo "== 1. healthy class passes, trend row appended"
+echo "== 1. healthy class passes with a named verdict"
 mk_tree "$DIR/pass" 1 1024 2
-"$DIR/hdlscheck" -dir "$DIR/pass" -class smoke -hdlsd "$DIR/hdlsd" \
-  -trend "$DIR/trend" | tee "$DIR/pass.out"
+"$DIR/hdlscheck" -dir "$DIR/pass" -class smoke -hdlsd "$DIR/hdlsd" | tee "$DIR/pass.out"
 grep -q 'check smoke/grid: PASS' "$DIR/pass.out" || { echo "FAIL: no named PASS"; exit 1; }
-[ "$(wc -l < "$DIR/trend/smoke.ndjson")" = 1 ] || { echo "FAIL: expected 1 trend row"; exit 1; }
-grep -q '"check":"smoke/grid"' "$DIR/trend/smoke.ndjson" || { echo "FAIL: trend row unnamed"; exit 1; }
+grep -q 'hdlscheck: 1 pass, 0 fail, 0 skip' "$DIR/pass.out" || { echo "FAIL: summary is not 1 pass, 0 fail, 0 skip"; exit 1; }
 
 echo "== 2. lowered goal fails with the check's name and measured-vs-goal"
 mk_tree "$DIR/fail" 10000000 1024 2
 RC=0
 "$DIR/hdlscheck" -dir "$DIR/fail" -class smoke -hdlsd "$DIR/hdlsd" \
-  -trend none >"$DIR/fail.out" 2>&1 || RC=$?
+  >"$DIR/fail.out" 2>&1 || RC=$?
 cat "$DIR/fail.out"
 [ "$RC" = 1 ] || { echo "FAIL: lowered goal exited $RC, want 1"; exit 1; }
 grep -q 'check smoke/grid: FAIL: cells_per_second .* < goal' "$DIR/fail.out" \
@@ -61,7 +59,7 @@ echo "== 3. SIGKILLed daemon fails the check, not the harness"
 mk_tree "$DIR/kill" 1 4 '8, 16'
 RC=0
 "$DIR/hdlscheck" -dir "$DIR/kill" -class smoke -hdlsd "$DIR/hdlsd" \
-  -trend none -daemon-pidfile "$DIR/pid" >"$DIR/kill.out" 2>&1 &
+  -daemon-pidfile "$DIR/pid" >"$DIR/kill.out" 2>&1 &
 BGPID=$!
 for i in $(seq 1 100); do
   [ -s "$DIR/pid" ] && break
